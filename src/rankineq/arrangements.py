@@ -124,7 +124,7 @@ def rank_function(V: Arrangement) -> SetFunction:
 
 
 def intersect(V: Arrangement, indices: SubsetRef) -> ExactMatrix:
-    """Basis of the intersection of the listed subspaces (iterated kernels)."""
+    """Basis of the intersection of the listed subspaces (iterated Zassenhaus)."""
     if indices.n != V.n:
         raise ValueError(f"index set over ground set {indices.n}, arrangement has {V.n}")
     chosen = indices.elements()

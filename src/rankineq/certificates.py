@@ -115,14 +115,14 @@ _TABLE_PAIRS = "table"
 _SUM_CASE = "sum"
 
 
-def _choose_w1(n: int, cmask: int, blocks: dict, T: SetFunction,
-               shifted: bool) -> tuple[list[list[int]], str]:
+def _choose_w1(n: int, cmask: int, blocks: dict,
+               T: SetFunction) -> tuple[list[list[int]], str]:
     """Pick W_1 for a substitution with phi(1) = cmask.
 
     Dispatch order: empty set; the five-entry table; subsets of {3..n}
-    (as a sum of the fixed subspaces, with either the index-shifted or the
-    literal numbering); everything with witness value n gets the whole
-    space.
+    (as the sum of the fixed subspaces W_{j-1}, j in phi(1), with the
+    index shifted to match phi(i) = {i+1}); everything with witness value
+    n gets the whole space.
     """
     elems = [i for i in range(1, n + 1) if cmask >> (i - 1) & 1]
     cset = set(elems)
@@ -139,13 +139,7 @@ def _choose_w1(n: int, cmask: int, blocks: dict, T: SetFunction,
     if len(elems) == 2 and 2 in cset and max(cset) >= 3:
         return blocks["Z2"] + blocks["W"][max(cset) - 1], _TABLE_PAIRS
     if min(cset) >= 3:
-        rows: list[list[int]] = []
-        for j in elems:
-            idx = j - 1 if shifted else j
-            if idx not in blocks["W"]:
-                raise KeyError(f"no fixed subspace with index {idx}")
-            rows.extend(blocks["W"][idx])
-        return rows, _SUM_CASE
+        return [row for j in elems for row in blocks["W"][j - 1]], _SUM_CASE
     if T.value_at(cmask) == T.n:
         return blocks["full"], "whole-space"
     raise AssertionError(f"unhandled substitution image {cset}")
@@ -173,7 +167,7 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
         raise ValueError(f"witness over ground set {T.n}, expected {n}")
     blocks = _witness_blocks(n)
     failures: list[str] = []
-    resolutions = set()
+    sum_realized = False
     cases = 0
     for fld, fld_name in ((RATIONAL, "rationals"), (2, "GF(2)"), (3, "GF(3)")):
         fixed = [blocks["W"][i] for i in range(2, n)]
@@ -181,39 +175,21 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
             phi = UnionMap(n - 1, n,
                            [SubsetRef(n, cmask)] + [[i + 1] for i in range(2, n)])
             expected = pullback(phi, T)
-            w1, kind = _choose_w1(n, cmask, blocks, T, shifted=True)
-            arr = Arrangement(fld, blocks["dim"], [w1] + fixed)
-            got = rank_function(arr)
-            if got == expected:
-                if kind == _SUM_CASE:
-                    resolutions.add("shifted")
-            else:
-                retried = False
-                if kind == _SUM_CASE:
-                    try:
-                        w1_lit, _ = _choose_w1(n, cmask, blocks, T, shifted=False)
-                    except KeyError:
-                        w1_lit = None
-                    if w1_lit is not None:
-                        arr = Arrangement(fld, blocks["dim"], [w1_lit] + fixed)
-                        got_lit = rank_function(arr)
-                        if got_lit == expected:
-                            resolutions.add("literal")
-                            retried = True
-                if not retried:
-                    where, g, w = _first_mismatch(got, expected)
-                    failures.append(
-                        f"{fld_name}, phi(1)={SubsetRef(n, cmask)!r}: rank function "
-                        f"differs at {where!r}: arrangement {g}, pullback {w}")
+            w1, kind = _choose_w1(n, cmask, blocks, T)
+            got = rank_function(Arrangement(fld, blocks["dim"], [w1] + fixed))
             cases += 1
-            if failures:
+            if got != expected:
+                where, g, w = _first_mismatch(got, expected)
+                failures.append(
+                    f"{fld_name}, phi(1)={SubsetRef(n, cmask)!r}: rank function "
+                    f"differs at {where!r}: arrangement {g}, pullback {w}")
                 break
+            sum_realized = sum_realized or kind == _SUM_CASE
         if failures:
             break
     notes = [f"{cases} substitution cases checked across rationals/GF(2)/GF(3)"]
-    if resolutions:
-        notes.append("sum case realized with "
-                     + " and ".join(sorted(f"{r} indexing" for r in resolutions)))
+    if sum_realized:
+        notes.append("sum case realized with shifted indexing")
     return _report("witness_realizations", n, failures, notes)
 
 

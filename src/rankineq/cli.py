@@ -18,7 +18,7 @@ from .functionals import (Functional, basic_functionals, check_permutation,
                           kinser, pair, permute_functional)
 from .maps import UnionMap, pullback, pushforward
 from .setfunctions import (SetFunction, in_polymatroid_cone, is_connected,
-                           is_integral, is_matroid, is_polymatroid)
+                           is_integral, is_matroid)
 
 
 def _load_json(path: str) -> object:
@@ -40,11 +40,12 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     P = SetFunction.from_json_obj(_load_json(args.setfunction))
     integral = is_integral(P)
-    poly = is_polymatroid(P, "full")
+    in_cone = in_polymatroid_cone(P)
+    poly = integral and in_cone
     result = {
         "n": P.n,
         "integral": integral,
-        "in_cone": in_polymatroid_cone(P, "full"),
+        "in_cone": in_cone,
         "polymatroid": poly,
         "matroid": is_matroid(P),
         "connected": is_connected(P) if poly else None,
@@ -102,6 +103,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_random_test(args: argparse.Namespace) -> int:
     if args.n < 4:
         raise ValueError("n >= 4 required (the generator is undefined below 4)")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     generator = kinser(args.n)
     orbit = sorted({permute_functional(generator, sigma)
                     for sigma in permutations(range(1, args.n + 1))},

@@ -22,21 +22,44 @@ RATIONAL = 0
 Scalar = Union[int, Fraction]
 
 
+# Deterministic Miller-Rabin witnesses: with these bases the test is exact
+# below 3.3 * 10^24 (Sorenson and Webster, 2015), far above the 2^64 bound
+# that check_field puts on field sizes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
+    """Primality by deterministic Miller-Rabin; exact below 3.3 * 10^24."""
     if p < 2:
         return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p < 41 * 41:
+        return True  # no prime factor up to 41, so none up to sqrt(p)
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
 def check_field(field: int) -> int:
-    """Validate a field code: 0 means the rationals, otherwise a prime."""
+    """Validate a field code: 0 means the rationals, otherwise a prime below 2^64."""
     if not isinstance(field, int) or isinstance(field, bool):
         raise ValueError(f"field must be 0 (rationals) or a prime, got {field!r}")
+    if field >= 1 << 64:
+        raise ValueError(f"field must be 0 (rationals) or a prime below 2^64, got {field}")
     if field != RATIONAL and not is_prime(field):
         raise ValueError(f"field must be 0 (rationals) or a prime, got {field}")
     return field
@@ -53,12 +76,6 @@ def normalize_scalar(value: Scalar, field: int) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     return value
-
-
-def _invert(value: Scalar, field: int) -> Scalar:
-    if field != RATIONAL:
-        return pow(value, -1, field)
-    return Fraction(1) / value
 
 
 def _primitive_int_row(vec: Sequence[Scalar]) -> list[int]:
@@ -206,67 +223,21 @@ class ExactMatrix:
         """Reduced row echelon form, unit pivots, zero rows dropped.
 
         The result is the canonical basis of the row space: two matrices
-        have equal row spans iff their rrefs are equal.
+        have equal row spans iff their rrefs are equal.  The echelon rows
+        are back-substituted bottom-up by inserting them, last pivot first,
+        into a second Echelon: each insertion clears the row at every later
+        pivot.  Over the rationals that stays fraction-free, and each row
+        is divided by its pivot only at the end.
         """
-        p = self.field
-        work = [list(r) for r in self.rows]
-        pivots: list[tuple[int, int]] = []  # (pivot col, row index)
-        r = 0
-        for c in range(self.ncols):
-            sel = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-            if sel is None:
-                continue
-            work[r], work[sel] = work[sel], work[r]
-            inv = _invert(work[r][c], p)
-            if p != RATIONAL:
-                work[r] = [x * inv % p for x in work[r]]
-            else:
-                work[r] = [normalize_scalar(x * inv, p) for x in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c] != 0:
-                    a = work[i][c]
-                    if p != RATIONAL:
-                        work[i] = [(x - a * y) % p for x, y in zip(work[i], work[r])]
-                    else:
-                        work[i] = [normalize_scalar(x - a * y, p)
-                                   for x, y in zip(work[i], work[r])]
-            pivots.append((c, r))
-            r += 1
-            if r == len(work):
-                break
-        return ExactMatrix(p, [work[i] for _, i in pivots], self.ncols)
-
-    def left_kernel(self) -> "ExactMatrix":
-        """Basis (in rref) of the row vectors x with x @ self == 0."""
-        p = self.field
-        m, c = self.nrows, self.ncols
-        # Augment with the identity and eliminate on the left block only.
-        work = [list(self.rows[i]) + [1 if j == i else 0 for j in range(m)]
-                for i in range(m)]
-        r = 0
-        for col in range(c):
-            sel = next((i for i in range(r, m) if work[i][col] != 0), None)
-            if sel is None:
-                continue
-            work[r], work[sel] = work[sel], work[r]
-            inv = _invert(work[r][col], p)
-            if p != RATIONAL:
-                work[r] = [x * inv % p for x in work[r]]
-            else:
-                work[r] = [normalize_scalar(x * inv, p) for x in work[r]]
-            for i in range(m):
-                if i != r and work[i][col] != 0:
-                    a = work[i][col]
-                    if p != RATIONAL:
-                        work[i] = [(x - a * y) % p for x, y in zip(work[i], work[r])]
-                    else:
-                        work[i] = [normalize_scalar(x - a * y, p)
-                                   for x, y in zip(work[i], work[r])]
-            r += 1
-            if r == m:
-                break
-        kernel = [row[c:] for row in work[r:]]
-        return ExactMatrix(p, kernel, m).rref()
+        forward = Echelon(self.field, self.ncols)
+        forward.extend(self.rows)
+        back = Echelon(self.field, self.ncols)
+        back.extend(reversed(forward.rows))
+        rows = back.rows
+        if self.field == RATIONAL:
+            rows = [row if row[pc] == 1 else [Fraction(x, row[pc]) for x in row]
+                    for pc, row in zip(back.pivots, rows)]
+        return ExactMatrix(self.field, rows, self.ncols)
 
     def row_space_contains(self, vec: Sequence[Scalar]) -> bool:
         ech = Echelon(self.field, self.ncols)
@@ -290,28 +261,18 @@ def rank_of(M: ExactMatrix) -> int:
     return M.rank()
 
 
-def row_times_matrix(x: Sequence[Scalar], M: ExactMatrix) -> list[Scalar]:
-    if len(x) != M.nrows:
-        raise ValueError("length mismatch")
-    out = [0] * M.ncols
-    for coef, row in zip(x, M.rows):
-        if coef:
-            out = [acc + coef * y for acc, y in zip(out, row)]
-    return [normalize_scalar(v, M.field) for v in out]
-
-
 def intersect_row_spaces(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     """Basis (in rref) of the intersection of two row spaces.
 
-    Works via the left kernel of the stacked matrix: a kernel row (x | y)
-    means x @ A = -y @ B, so x @ A runs over the intersection.  Both inputs
-    must have full row rank (true for rref bases), which makes the kernel
-    rows map bijectively onto the intersection.
+    Zassenhaus's algorithm: echelonize the rows (a | a) for a in A and
+    (b | 0) for b in B.  The right halves of the pivot rows whose pivot
+    lies in the right half span the intersection.
     """
     if A.field != B.field or A.ncols != B.ncols:
         raise ValueError("intersect: field or column mismatch")
-    if A.nrows == 0 or B.nrows == 0:
-        return ExactMatrix.zero_rows(A.field, A.ncols)
-    kernel = A.stack(B).left_kernel()
-    vecs = [row_times_matrix(row[:A.nrows], A) for row in kernel.rows]
-    return ExactMatrix(A.field, vecs, A.ncols).rref()
+    d = A.ncols
+    ech = Echelon(A.field, 2 * d)
+    ech.extend(row + row for row in A.rows)
+    ech.extend(row + (0,) * d for row in B.rows)
+    meet = [row[d:] for pc, row in zip(ech.pivots, ech.rows) if pc >= d]
+    return ExactMatrix(A.field, meet, d).rref()

@@ -146,6 +146,7 @@ class SetFunction:
         n = obj["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f'"n" must be an integer, got {n!r}')
+        SubsetRef(n, 0)  # validates n before the 2^n table is allocated
         raw = obj["values"]
         if not isinstance(raw, dict):
             raise ValueError('"values" must be an object')
@@ -227,7 +228,7 @@ def is_polymatroid(P: SetFunction, mode: str = "local") -> bool:
 
 def is_matroid(P: SetFunction) -> bool:
     """A polymatroid whose every singleton rank is at most 1."""
-    if not is_polymatroid(P, "full"):
+    if not is_polymatroid(P):
         return False
     return all(P.value_at(1 << i) <= 1 for i in range(P.n))
 
@@ -235,9 +236,9 @@ def is_matroid(P: SetFunction) -> bool:
 def is_connected(P: SetFunction) -> bool:
     """No proper nonempty S splits off: rk([n]) - rk([n]\\S) = rk(S) never holds.
 
-    Requires a polymatroid (checked with the full predicate).
+    Requires a polymatroid.
     """
-    if not is_polymatroid(P, "full"):
+    if not is_polymatroid(P):
         raise ValueError("is_connected requires a polymatroid")
     n, vals = P.n, P.values_by_mask()
     full_mask = (1 << n) - 1

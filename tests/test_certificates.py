@@ -217,7 +217,7 @@ def test_witness_arrangement_field_independent():
     blocks = _witness_blocks(n)
     fixed = [blocks["W"][i] for i in range(2, n)]
     for cmask in (0, 0b1, 0b10, 0b101, 0b1100):
-        w1, _ = _choose_w1(n, cmask, blocks, witness_T(n), shifted=True)
+        w1, _ = _choose_w1(n, cmask, blocks, witness_T(n))
         ranks = [rank_function(Arrangement(f, blocks["dim"], [w1] + fixed))
                  for f in (0, 2, 3)]
         assert ranks[0] == ranks[1] == ranks[2]

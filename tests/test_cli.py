@@ -187,5 +187,25 @@ def test_random_test_requires_n_at_least_4(capsys):
     assert main(["random-test", "--n", "3", "--trials", "1"]) == 2
 
 
+def test_random_test_rejects_negative_trials(capsys):
+    assert main(["random-test", "--n", "4", "--trials", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "--trials" in err and err.count("\n") == 1
+
+
+def test_random_test_large_prime(capsys):
+    argv = ["random-test", "--n", "4", "--trials", "1", "--dim", "3",
+            "--prime", str(2 ** 61 - 1)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
+def test_check_rejects_oversized_ground_set(files, capsys):
+    p = files("big.json", {"n": 64, "values": {}})
+    assert main(["check", p]) == 2
+    err = capsys.readouterr().err
+    assert "ground-set size" in err and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0

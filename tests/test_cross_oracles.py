@@ -43,6 +43,55 @@ def test_rational_rank_against_naive_elimination():
         assert ExactMatrix(RATIONAL, rows, c).rank() == naive_rank_fractions(rows)
 
 
+def naive_rref(rows, ncols, field):
+    """Textbook Gauss-Jordan: Fraction arithmetic over QQ, mod p over GF(p)."""
+    if field == RATIONAL:
+        work = [[Fraction(x) for x in row] for row in rows]
+    else:
+        work = [[x % field for x in row] for row in rows]
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        if field == RATIONAL:
+            inv = 1 / work[r][c]
+            work[r] = [x * inv for x in work[r]]
+        else:
+            inv = pow(work[r][c], -1, field)
+            work[r] = [x * inv % field for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                a = work[i][c]
+                work[i] = [x - a * y for x, y in zip(work[i], work[r])]
+                if field != RATIONAL:
+                    work[i] = [x % field for x in work[i]]
+        r += 1
+    if field == RATIONAL:  # integral entries are ints, as in ExactMatrix
+        return [tuple(x.numerator if x.denominator == 1 else x for x in row)
+                for row in work[:r]]
+    return [tuple(row) for row in work[:r]]
+
+
+def test_rref_against_naive_gauss_jordan():
+    rng = random.Random(2030)
+    for field in (RATIONAL, 2, 101):
+        for _ in range(150):
+            m, c = rng.randint(0, 6), rng.randint(1, 6)
+            if field == RATIONAL:
+                rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                         for _ in range(c)] for _ in range(m)]
+            else:
+                rows = [[rng.randrange(field) if rng.random() < 0.7 else 0
+                         for _ in range(c)] for _ in range(m)]
+            got = ExactMatrix(field, rows, c).rref().rows
+            want = naive_rref(rows, c, field)
+            assert list(got) == want
+            assert [[type(x) for x in row] for row in got] == \
+                [[type(x) for x in row] for row in want]
+
+
 def gf2_span(rows, d):
     """Closure of the row set under addition mod 2: the literal span."""
     span = {(0,) * d}

@@ -1,4 +1,4 @@
-"""Exact elimination: ranks, canonical forms, kernels, intersections."""
+"""Exact elimination: ranks, canonical forms, intersections, primality."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rankineq.linalg import (RATIONAL, Echelon, ExactMatrix,
-                             intersect_row_spaces, rank_of)
+                             intersect_row_spaces, is_prime, rank_of)
 
 
 def test_rank_examples():
@@ -34,6 +34,9 @@ def test_field_validation():
     with pytest.raises(ValueError, match="prime"):
         ExactMatrix(-3, [[1]])
     ExactMatrix(2, [[1, 0]])  # fine
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        ExactMatrix(2 ** 64 + 13, [[1]])  # prime, but above the field bound
+    ExactMatrix(2 ** 64 - 59, [[1]])  # the largest prime below 2^64
 
 
 def test_entries_normalized_mod_p():
@@ -58,25 +61,6 @@ def test_rref_is_canonical_for_row_span():
             assert all(M.row_space_contains(row) for row in R.rows)
             assert R.rref() == R
             assert R.rank() == R.nrows == M.rank()
-
-
-def test_left_kernel_annihilates():
-    rng = random.Random(11)
-    for field in (RATIONAL, 3, 101):
-        for _ in range(30):
-            m, c = rng.randint(1, 5), rng.randint(1, 4)
-            M = ExactMatrix(field, [[rng.randint(-6, 6) for _ in range(c)]
-                                    for _ in range(m)], c)
-            K = M.left_kernel()
-            assert K.nrows == m - M.rank()
-            for x in K.rows:
-                out = [0] * c
-                for coef, row in zip(x, M.rows):
-                    out = [acc + coef * v for acc, v in zip(out, row)]
-                if field == RATIONAL:
-                    assert all(v == 0 for v in out)
-                else:
-                    assert all(v % field == 0 for v in out)
 
 
 def test_echelon_matches_matrix_rank():
@@ -141,3 +125,27 @@ def test_stack_mismatch_raises():
         ExactMatrix(2, [[1, 0]]).stack(ExactMatrix(3, [[1, 0]]))
     with pytest.raises(ValueError, match="mismatch"):
         ExactMatrix(2, [[1, 0]]).stack(ExactMatrix(2, [[1, 0, 1]]))
+
+
+def trial_division_is_prime(p):
+    if p < 2:
+        return False
+    i = 2
+    while i * i <= p:
+        if p % i == 0:
+            return False
+        i += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for p in range(-3, 200_000):
+        assert is_prime(p) == trial_division_is_prime(p), p
+
+
+def test_is_prime_large():
+    assert is_prime(2 ** 61 - 1)  # Mersenne prime
+    assert is_prime(2 ** 31 - 1)
+    assert not is_prime(2 ** 61 + 1)  # divisible by 3
+    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
