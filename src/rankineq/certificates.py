@@ -14,11 +14,11 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arrangements import Arrangement, rank_function, uniform_U
-from .functionals import kinser, pair
-from .linalg import RATIONAL, Echelon
+from .functionals import kinser
+from .linalg import RATIONAL, Echelon, ExactMatrix, Scalar
 from .maps import UnionMap, hierarchy_map, pullback, pushforward
 from .setfunctions import SetFunction
 from .subsets import SubsetRef, mobius
@@ -166,17 +166,23 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
     elif T.n != n:
         raise ValueError(f"witness over ground set {T.n}, expected {n}")
     blocks = _witness_blocks(n)
+    dim = blocks["dim"]
     failures: list[str] = []
     sum_realized = False
     cases = 0
     for fld, fld_name in ((RATIONAL, "rationals"), (2, "GF(2)"), (3, "GF(3)")):
-        fixed = [blocks["W"][i] for i in range(2, n)]
+        # only W_1 varies with phi(1): one rank function per distinct W_1
+        fixed = [ExactMatrix(fld, blocks["W"][i], dim) for i in range(2, n)]
+        ranks: dict[tuple, SetFunction] = {}
         for cmask in range(1 << n):
             phi = UnionMap(n - 1, n,
                            [SubsetRef(n, cmask)] + [[i + 1] for i in range(2, n)])
             expected = pullback(phi, T)
             w1, kind = _choose_w1(n, cmask, blocks, T)
-            got = rank_function(Arrangement(fld, blocks["dim"], [w1] + fixed))
+            key = tuple(map(tuple, w1))
+            got = ranks.get(key)
+            if got is None:
+                got = ranks[key] = rank_function(Arrangement(fld, dim, [w1] + fixed))
             cases += 1
             if got != expected:
                 where, g, w = _first_mismatch(got, expected)
@@ -270,15 +276,27 @@ def vanishing_family(n: int) -> list[tuple[SubsetRef, int]]:
     return out
 
 
+def _pair_uniform(terms: Sequence[tuple[int, Scalar]], smask: int, d: int) -> Scalar:
+    """<f, U(S, d)> summed over f.items(), without the dense 2^n vector."""
+    return sum([c * (k if (k := (mask & smask).bit_count()) < d else d)
+                for mask, c in terms])
+
+
+def _u_row(n: int, smask: int, d: int) -> list[int]:
+    """U(S, d) as a vector of H_n: its values on the nonempty subsets."""
+    return [k if (k := (mask & smask).bit_count()) < d else d
+            for mask in range(1, 1 << n)]
+
+
 def verify_vanishing(n: int) -> CertificateReport:
     """Every qualifying generic-line polymatroid pairs to exactly 0."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 4:
         raise ValueError("n >= 4 required")
-    generator = kinser(n)
+    terms = kinser(n).items()
     failures = []
     count = 0
     for S, d in vanishing_family(n):
-        got = pair(generator, uniform_U(n, S, d))
+        got = _pair_uniform(terms, S.bits, d)
         count += 1
         if got != 0:
             failures.append(f"pairing with U(S={S!r}, d={d}) is {got}, expected 0")
@@ -288,11 +306,6 @@ def verify_vanishing(n: int) -> CertificateReport:
 
 # ---------------------------------------------------------------------------
 # Identities between basis vectors and generic-line polymatroids
-
-
-@lru_cache(maxsize=None)
-def _u(n: int, smask: int, d: int) -> SetFunction:
-    return uniform_U(n, SubsetRef(n, smask), d)
 
 
 def _upset_indicator(n: int, base_mask: int) -> SetFunction:
@@ -315,6 +328,10 @@ def verify_line_identities(n: int) -> CertificateReport:
     failures: list[str] = []
     full = (1 << n) - 1
     counts = {}
+
+    @lru_cache(maxsize=None)  # local, so the vectors go when the check returns
+    def _u(n: int, smask: int, d: int) -> SetFunction:
+        return uniform_U(n, SubsetRef(n, smask), d)
 
     # splitting: U(S, d) with d >= |S| decomposes into single lines
     checked = 0
@@ -378,7 +395,7 @@ def verify_line_identities(n: int) -> CertificateReport:
             continue
         a, b = rng.sample(outside, 2)
         lhs = (_u(n, tmask | 1 << a, 1) + _u(n, tmask | 1 << b, 1)
-               - _u_or_zero(n, tmask, 1) - _u(n, tmask | 1 << a | 1 << b, 1))
+               - _u(n, tmask, 1) - _u(n, tmask | 1 << a | 1 << b, 1))
         rhs = SetFunction(n, [1 if mask >> a & 1 and mask >> b & 1
                               and not mask & tmask else 0
                               for mask in range(1 << n)])
@@ -391,10 +408,6 @@ def verify_line_identities(n: int) -> CertificateReport:
 
     notes = [", ".join(f"{k}: {v}" for k, v in counts.items())]
     return _report("line_identities", n, failures, notes)
-
-
-def _u_or_zero(n: int, smask: int, d: int) -> SetFunction:
-    return _u(n, smask, d) if smask else SetFunction.zero(n)
 
 
 def _submasks(mask: int) -> list[int]:
@@ -411,29 +424,53 @@ def _submasks(mask: int) -> list[int]:
 # Facet dimension and explicit basis
 
 
+_FACET_PRIME = 2 ** 31 - 1
+
+
+def _bounded_rank(rows: Callable[[], Iterable[list[int]]], ncols: int,
+                  bound: int) -> int:
+    """Rank over QQ of integer rows whose rank over QQ is at most bound.
+
+    The rank mod a prime is never above the rank over QQ, so a rank mod
+    _FACET_PRIME that reaches bound is exact; otherwise eliminate over QQ.
+    """
+    ech = Echelon(_FACET_PRIME, ncols)
+    for row in rows():
+        if ech.add(row) and ech.rank == bound:
+            return bound
+    ech = Echelon(RATIONAL, ncols)
+    ech.extend(rows())
+    return ech.rank
+
+
 def facet_rank(n: int) -> tuple[int, int]:
     """Exact ranks of the generic-line families as vectors of H_n.
 
     Returns (rank of the vanishing family, rank of all U(S,d) with
-    1 <= d <= n).  Every vanishing-family member is re-verified to pair to
-    0 with the generator before entering the rank computation.
+    1 <= d <= n).  Every vanishing-family member is first re-verified to
+    pair to 0 with the nonzero generator, so the family lies in a
+    hyperplane and its rank over QQ is at most 2^n - 2; the full family's
+    is at most dim H_n = 2^n - 1.  The rows are integer vectors, whose rank
+    mod a prime is never above their rank over QQ, so each rank is taken
+    mod 2^31 - 1 and is exact once it reaches its bound.  Only a rank that
+    stops short is recomputed by fraction-free elimination over QQ.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
         raise ValueError("4 <= n <= 8 required")
-    generator = kinser(n)
-    kernel_ech = Echelon(RATIONAL, (1 << n) - 1)
-    for S, d in vanishing_family(n):
-        U = _u(n, S.bits, d)
-        value = pair(generator, U)
+    terms = kinser(n).items()
+    family = vanishing_family(n)
+    for S, d in family:
+        value = _pair_uniform(terms, S.bits, d)
         if value != 0:
             raise RuntimeError(
                 f"vanishing family member U(S={S!r}, d={d}) pairs to {value}")
-        kernel_ech.add(U.values_by_mask()[1:])
-    full_ech = Echelon(RATIONAL, (1 << n) - 1)
-    for smask in range(1, 1 << n):
-        for d in range(1, n + 1):
-            full_ech.add(_u(n, smask, d).values_by_mask()[1:])
-    return kernel_ech.rank, full_ech.rank
+    ncols = (1 << n) - 1
+    kernel_rank = _bounded_rank(
+        lambda: (_u_row(n, S.bits, d) for S, d in family), ncols, ncols - 1)
+    full_rank = _bounded_rank(
+        lambda: (_u_row(n, smask, d) for smask in range(1, 1 << n)
+                 for d in range(1, n + 1)), ncols, ncols)
+    return kernel_rank, full_rank
 
 
 def verify_facet(n: int) -> CertificateReport:
@@ -487,7 +524,7 @@ def verify_basis_F(n: int, alpha: dict[int, int] | None = None) -> CertificateRe
         alpha = basis_alpha(n)
     span = Echelon(RATIONAL, (1 << n) - 1)
     for S, d in vanishing_family(n):
-        span.add(_u(n, S.bits, d).values_by_mask()[1:])
+        span.add(_u_row(n, S.bits, d))
     r_mask = 0b101 | 1 << (n - 1)  # {1, 3, n}
     failures = []
     independence = Echelon(RATIONAL, (1 << n) - 1)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from itertools import permutations
+from math import factorial
 
 from .arrangements import Arrangement, derive_seed, random_arrangement, rank_function
 from .certificates import run_certificates
@@ -103,6 +104,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_random_test(args: argparse.Namespace) -> int:
     if args.n < 4:
         raise ValueError("n >= 4 required (the generator is undefined below 4)")
+    if args.n > 8:
+        raise ValueError(f"n <= 8 required: the kinser(n) orbit has n!/2 = "
+                         f"{factorial(args.n) // 2} members at n={args.n}")
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     generator = kinser(args.n)

@@ -14,6 +14,7 @@ families of vectors.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -28,8 +29,13 @@ Scalar = Union[int, Fraction]
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
-    """Primality by deterministic Miller-Rabin; exact below 3.3 * 10^24."""
+    """Primality by deterministic Miller-Rabin; exact below 3.3 * 10^24.
+
+    Memoized: check_field validates the field of every matrix and echelon,
+    and a run uses only a handful of fields.
+    """
     if p < 2:
         return False
     for b in _MR_BASES:
@@ -67,6 +73,8 @@ def check_field(field: int) -> int:
 
 def normalize_scalar(value: Scalar, field: int) -> Scalar:
     """Reduce mod p over GF(p); over the rationals keep ints as ints."""
+    if type(value) is int:  # the common case; bool takes the path below
+        return value % field if field != RATIONAL else value
     if field != RATIONAL:
         if isinstance(value, Fraction):
             if value.denominator % field == 0:
@@ -80,12 +88,15 @@ def normalize_scalar(value: Scalar, field: int) -> Scalar:
 
 def _primitive_int_row(vec: Sequence[Scalar]) -> list[int]:
     # Scale a rational row to a primitive integer row (same span).
-    lcm = 1
-    for x in vec:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-    row = [int(x * lcm) if isinstance(x, Fraction) else x * lcm for x in vec]
+    if all(type(x) is int for x in vec):
+        row = list(vec)
+    else:
+        lcm = 1
+        for x in vec:
+            if isinstance(x, Fraction):
+                d = x.denominator
+                lcm = lcm // gcd(lcm, d) * d
+        row = [int(x * lcm) if isinstance(x, Fraction) else x * lcm for x in vec]
     g = 0
     for x in row:
         if x:

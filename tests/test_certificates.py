@@ -85,6 +85,23 @@ def test_witness_realizations_detect_tampering():
     assert any("differs at" in d for d in report.details)
 
 
+def test_witness_realizations_compare_every_case(monkeypatch):
+    # give one sum case phi(1) = {3,4} the W_1 of phi(1) = {1}: its rank
+    # function is then already known, and the case must still fail alone
+    target = subset(5, [3, 4])
+    choose = certs._choose_w1
+
+    def swapped(n, cmask, blocks, T):
+        if cmask == target.bits:
+            return blocks["Z1"], "sum"
+        return choose(n, cmask, blocks, T)
+
+    monkeypatch.setattr(certs, "_choose_w1", swapped)
+    report = verify_witness_realizations(5)
+    assert not report.passed
+    assert report.details[0].startswith(f"rationals, phi(1)={target!r}: ")
+
+
 def test_hierarchy_pass_and_negative_control():
     assert verify_hierarchy(5).passed
     assert verify_hierarchy(10).passed
@@ -143,6 +160,28 @@ def test_vanishing_family_members_all_vanish_by_construction():
             assert pair(gen, uniform_U(n, S, d)) == 0
 
 
+def _admit(monkeypatch, escapee, d_escapee):
+    # make vanishing_condition also accept one (S, d) that does not vanish
+    condition = certs.vanishing_condition
+    monkeypatch.setattr(
+        certs, "vanishing_condition",
+        lambda n, S, d: (condition(n, S, d)
+                         or (S.bits == escapee.bits and d == d_escapee)))
+
+
+def test_vanishing_pairing_reports_admitted_non_member(monkeypatch):
+    # the sparse pairing must catch the admitted non-member and report the
+    # value the dense pairing computes
+    escapee = subset(5, [1, 2, 3, 5])
+    _admit(monkeypatch, escapee, 2)
+    dense = pair(kinser(5), uniform_U(5, escapee, 2))
+    assert dense != 0
+    report = verify_vanishing(5)
+    assert not report.passed
+    assert report.details[0] == (
+        f"pairing with U(S={escapee!r}, d=2) is {dense}, expected 0")
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_line_identities_pass(n):
     assert verify_line_identities(n).passed
@@ -164,6 +203,14 @@ def test_line_identities_detect_flipped_mobius_sign(monkeypatch):
 def test_facet_rank_small(n, expected):
     assert facet_rank(n) == expected
     assert verify_facet(n).passed
+
+
+def test_facet_rank_rejects_admitted_non_member(monkeypatch):
+    # the 2^n - 2 bound behind the modular rank needs every member of the
+    # family in the generator's kernel
+    _admit(monkeypatch, subset(5, [1, 2, 3, 5]), 2)
+    with pytest.raises(RuntimeError, match=r"U\(S=\{1,2,3,5\}, d=2\) pairs to 1"):
+        facet_rank(5)
 
 
 def test_facet_rank_top_of_range():

@@ -193,6 +193,19 @@ def test_random_test_rejects_negative_trials(capsys):
     assert "--trials" in err and err.count("\n") == 1
 
 
+def test_random_test_rejects_n_above_8(capsys, monkeypatch):
+    # the orbit has n!/2 members; it must not be built before rejecting
+    import rankineq.cli as cli
+
+    def no_orbit(*args):
+        raise AssertionError("orbit built before the range check")
+
+    monkeypatch.setattr(cli, "permutations", no_orbit)
+    assert main(["random-test", "--n", "9", "--trials", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "n <= 8" in err and "181440" in err and err.count("\n") == 1
+
+
 def test_random_test_large_prime(capsys):
     argv = ["random-test", "--n", "4", "--trials", "1", "--dim", "3",
             "--prime", str(2 ** 61 - 1)]

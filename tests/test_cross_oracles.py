@@ -8,9 +8,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from rankineq.arrangements import Arrangement, random_arrangement, rank_function
+import rankineq.certificates as certs
+from rankineq.arrangements import (Arrangement, random_arrangement,
+                                   rank_function, uniform_U)
 from rankineq.functionals import kinser, pair
-from rankineq.linalg import RATIONAL, ExactMatrix
+from rankineq.linalg import RATIONAL, Echelon, ExactMatrix
+from rankineq.subsets import SubsetRef
 from rankineq.maps import UnionMap, pullback, pushforward
 from rankineq.functionals import Functional
 
@@ -168,3 +171,42 @@ def test_pushforward_and_pullback_are_linear():
         Q = SetFunction(n, (0,) + tuple(rng.randint(-4, 9)
                                         for _ in range(2 ** n - 1)))
         assert pullback(phi, P + Q) == pullback(phi, P) + pullback(phi, Q)
+
+
+def qq_rank(n, members):
+    """Plain fraction-free QQ rank of U(S, d) over (S mask, d) pairs."""
+    ech = Echelon(RATIONAL, 2 ** n - 1)
+    ech.extend(uniform_U(n, SubsetRef(n, smask), d).values_by_mask()[1:]
+               for smask, d in members)
+    return ech.rank
+
+
+def test_facet_rank_against_qq_echelon():
+    for n in (4, 5, 6):
+        kernel = [(S.bits, d) for S, d in certs.vanishing_family(n)]
+        full = [(smask, d) for smask in range(1, 2 ** n)
+                for d in range(1, n + 1)]
+        assert certs.facet_rank(n) == (qq_rank(n, kernel), qq_rank(n, full))
+
+
+def test_facet_rank_falls_back_to_qq_below_the_bound(monkeypatch):
+    # with half the vanishing family the rank mod p cannot reach 2^n - 2,
+    # so the QQ elimination must run and decide the rank
+    n = 5
+    kept = certs.vanishing_family(n)[::2]
+    monkeypatch.setattr(certs, "vanishing_family", lambda m: kept)
+    fields = []
+
+    class SpyEchelon(Echelon):
+        def __init__(self, field, ncols):
+            fields.append(field)
+            super().__init__(field, ncols)
+
+    monkeypatch.setattr(certs, "Echelon", SpyEchelon)
+    want = qq_rank(n, [(S.bits, d) for S, d in kept])
+    assert want < 2 ** n - 2
+    assert certs.facet_rank(n) == (want, 2 ** n - 1)
+    assert fields.count(RATIONAL) == 1
+    report = certs.verify_facet(n)
+    assert not report.passed
+    assert report.details[0] == f"ranks ({want}, 31), expected (30, 31)"

@@ -149,3 +149,17 @@ def test_is_prime_large():
     assert not is_prime(2 ** 61 + 1)  # divisible by 3
     assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+
+
+def test_is_prime_memo_still_rejects():
+    # the primality result is memoized; validating one prime many times
+    # must not let a composite or an oversized field through afterwards
+    for _ in range(200):
+        assert ExactMatrix(2 ** 31 - 1, [[1, 2]]).rank() == 1
+        assert Echelon(2 ** 31 - 1, 2).rank == 0
+    assert not is_prime(2 ** 31 + 1)
+    with pytest.raises(ValueError, match="prime"):
+        Echelon((2 ** 31 - 1) * 3, 2)
+    with pytest.raises(ValueError, match="2\\^64"):
+        Echelon(2 ** 64 + 13, 2)
+    assert is_prime(2 ** 31 - 1)
