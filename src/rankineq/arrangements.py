@@ -109,6 +109,9 @@ def rank_function(V: Arrangement) -> SetFunction:
     Sweeps the subset lattice incrementally: the echelon basis of each
     subset is its parent's (minus the lowest index) extended by one
     subspace, so every basis row is inserted exactly once per subset.
+    A parent that already spans the ambient space is shared, not copied:
+    any sum containing the whole space is the whole space, and a state of
+    rank d is never extended, because its children take the same branch.
     """
     n, d = V.n, V.ambient_dim
     states: list[Echelon] = [None] * (1 << n)  # type: ignore[list-item]
@@ -116,7 +119,12 @@ def rank_function(V: Arrangement) -> SetFunction:
     vals: list[Scalar] = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
-        ech = states[mask ^ low].copy()
+        parent = states[mask ^ low]
+        if parent.rank == d:
+            states[mask] = parent
+            vals[mask] = d
+            continue
+        ech = parent.copy()
         ech.extend(V.subspaces[low.bit_length() - 1].rows)
         states[mask] = ech
         vals[mask] = ech.rank

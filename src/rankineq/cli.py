@@ -1,7 +1,8 @@
 """Command-line front end: evaluate, generate, verify, random-test.
 
 Exit codes: 0 success / all checks pass, 1 a check failed or an inequality
-was violated, 2 usage or parse error.  All numeric output is exact
+was violated, 2 usage or parse error, 3 internal error (an unexpected
+exception in a command, reported as one line).  All numeric output is exact
 (integers or "p/q" strings); reports go to stdout, diagnostics to stderr.
 """
 
@@ -15,8 +16,9 @@ from math import factorial
 
 from .arrangements import Arrangement, derive_seed, random_arrangement, rank_function
 from .certificates import run_certificates
-from .functionals import (Functional, basic_functionals, check_permutation,
-                          kinser, pair, permute_functional)
+from .functionals import (Functional, PairingTable, basic_functionals,
+                          check_permutation, kinser, pair, permute_functional,
+                          permute_mask)
 from .maps import UnionMap, pullback, pushforward
 from .setfunctions import (SetFunction, in_polymatroid_cone, is_connected,
                            is_integral, is_matroid)
@@ -109,25 +111,27 @@ def cmd_random_test(args: argparse.Namespace) -> int:
                          f"{factorial(args.n) // 2} members at n={args.n}")
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
-    generator = kinser(args.n)
-    orbit = sorted({permute_functional(generator, sigma)
-                    for sigma in permutations(range(1, args.n + 1))},
-                   key=lambda f: f.items())
+    # Distinct relabelled term tuples, in f.items() order; one expression,
+    # so the tuples are freed before the trials start.
+    generator = kinser(args.n).items()
+    orbit = [Functional(args.n, dict(terms)) for terms in sorted(
+        {tuple(sorted((permute_mask(mask, sigma), c) for mask, c in generator))
+         for sigma in permutations(range(1, args.n + 1))})]
     basics = basic_functionals(args.n)
+    table = PairingTable(args.n, basics + orbit)
     violations = []
     for trial in range(args.trials):
         seed = derive_seed(args.seed, trial)
         V = random_arrangement(args.n, args.dim, args.prime, seed)
         P = rank_function(V)
-        for kind, family in (("basic", basics), ("generator-orbit", orbit)):
-            for f in family:
-                value = pair(f, P)
-                if value < 0:
-                    violations.append({
-                        "trial": trial, "seed": seed, "kind": kind,
-                        "functional": f.to_json_obj(), "value": str(value),
-                        "arrangement": V.to_json_obj(),
-                    })
+        for i in table.negatives(P):
+            f = table.functionals[i]
+            violations.append({
+                "trial": trial, "seed": seed,
+                "kind": "basic" if i < len(basics) else "generator-orbit",
+                "functional": f.to_json_obj(), "value": str(pair(f, P)),
+                "arrangement": V.to_json_obj(),
+            })
     report = {"n": args.n, "trials": args.trials, "prime": args.prime,
               "dim": args.dim, "seed": args.seed,
               "inequalities_checked": len(basics) + len(orbit),
@@ -205,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a failed check: keep it off code 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

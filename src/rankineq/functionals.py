@@ -145,6 +145,87 @@ def pair(f: Functional, P: SetFunction) -> Scalar:
     return normalize_scalar(total, RATIONAL)
 
 
+class PairingTable:
+    """The signs of <f_i, P> for a whole family of integral functionals.
+
+    The table packs the family into one Python int per mask A,
+    col[A] = sum_i c_i(A) * 2^(i*w), one w-bit slot per functional.  For an
+    integer-valued P (a rank function, say) let M = max |P(A)| and W = max_i sum_A |c_i(A)|; then
+    every |<f_i, P>| <= M*W.  With w = bitlen(M*W) + 1 and B = 2^(w-1) > M*W,
+    each <f_i, P> + B lies in [0, 2^w), so
+
+        T = Bias + sum_A P(A) * col[A],   Bias = sum_i B * 2^(i*w),
+
+    is exactly the base-2^w number whose digit i is <f_i, P> + B: no slot
+    borrows from or carries into its neighbour.  <f_i, P> < 0 exactly when
+    the top bit of slot i is 0, so T & Bias == Bias proves that no
+    functional is violated, and otherwise the bits of Bias & ~T name the
+    violated slots.  All arithmetic is on integers; a non-integer
+    coefficient or value raises ValueError.
+    """
+
+    __slots__ = ("n", "functionals", "_weight", "_tables")
+
+    def __init__(self, n: int, functionals: Sequence[Functional]):
+        SubsetRef(n, 0)
+        self.n = n
+        self.functionals = list(functionals)
+        for f in self.functionals:
+            if f.n != n:
+                raise ValueError(f"ground-set mismatch: {f.n} vs {n}")
+            if not all(isinstance(c, int) for c in f._coeffs.values()):
+                raise ValueError(f"packed pairing needs integer coefficients: {f!r}")
+        self._weight = max((sum(map(abs, f._coeffs.values()))
+                            for f in self.functionals), default=0)
+        self._tables: dict[int, tuple[int, dict[int, int]]] = {}
+
+    def _table(self, w: int) -> tuple[int, dict[int, int]]:
+        """(Bias, col) at slot width w, built once per width."""
+        table = self._tables.get(w)
+        if table is None:
+            slots = len(self.functionals)
+            bias = ((1 << slots * w) - 1) // ((1 << w) - 1) << (w - 1)
+            table = self._tables[w] = (bias, self._pack(0, slots, w))
+        return table
+
+    def _pack(self, lo: int, hi: int, w: int) -> dict[int, int]:
+        """col[A] over slots lo..hi-1, slot lo at bit 0.
+
+        Halves are packed separately and merged, so each column costs
+        O(size * log(slots)) rather than one full-size add per term.
+        """
+        if hi - lo <= 1:
+            return dict(self.functionals[lo]._coeffs) if hi > lo else {}
+        mid = (lo + hi) // 2
+        cols = self._pack(lo, mid, w)
+        shift = (mid - lo) * w
+        for mask, col in self._pack(mid, hi, w).items():
+            cols[mask] = cols.get(mask, 0) + (col << shift)
+        return cols
+
+    def negatives(self, P: SetFunction) -> list[int]:
+        """Ascending indices i with <f_i, P> < 0."""
+        if P.n != self.n:
+            raise ValueError(f"ground-set mismatch: {self.n} vs {P.n}")
+        vals = P.values_by_mask()
+        if not all(isinstance(v, int) for v in vals):
+            raise ValueError("packed pairing needs an integer-valued set function")
+        w = (max(map(abs, vals)) * self._weight).bit_length() + 1
+        bias, cols = self._table(w)
+        total = bias
+        for mask, col in cols.items():
+            v = vals[mask]
+            if v:
+                total += v * col
+        missing = bias & ~total
+        out = []
+        while missing:
+            low = missing & -missing
+            out.append(low.bit_length() // w - 1)
+            missing ^= low
+        return out
+
+
 def kinser(n: int) -> Functional:
     """The n-th inequality of the hierarchy, as a functional on H_n.
 
@@ -219,9 +300,10 @@ def check_permutation(sigma: Sequence[int], n: int) -> tuple[int, ...]:
 
 def permute_mask(mask: int, images: Sequence[int]) -> int:
     out = 0
-    for i, img in enumerate(images):
-        if mask >> i & 1:
-            out |= 1 << (img - 1)
+    while mask:
+        low = mask & -mask
+        out |= 1 << (images[low.bit_length() - 1] - 1)
+        mask ^= low
     return out
 
 

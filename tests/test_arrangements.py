@@ -46,15 +46,28 @@ def test_rank_function_is_polymatroid(trial):
 
 def test_rank_function_matches_naive_stacking():
     # oracle: stack the chosen bases directly and take the matrix rank
-    for trial in range(20):
-        V = random_arrangement(4, 3, 5, seed=derive_seed(13, trial))
+    cases = [random_arrangement(4, 3, 5, seed=derive_seed(13, trial))
+             for trial in range(20)]
+    # n=6 in dimension 2 or 3: most sums fill the space, so most subsets
+    # take rank_function's full-rank branch
+    for trial in range(12):
+        field, d = (2, 101, RATIONAL)[trial % 3], 2 + trial % 2
+        rng = random.Random(derive_seed(19, trial))
+        cases.append(Arrangement(field, d, [
+            [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(0, d))]
+            for _ in range(6)]))
+    saturated = 0
+    for V in cases:
         P = rank_function(V)
-        for bits in range(1, 16):
+        for bits in range(1, 1 << V.n):
             rows = []
-            for i in range(4):
+            for i in range(V.n):
                 if bits >> i & 1:
                     rows.extend(V.subspaces[i].rows)
-            assert P.value_at(bits) == rank_of(ExactMatrix(5, rows, 3))
+            assert P.value_at(bits) == rank_of(ExactMatrix(V.field, rows, V.ambient_dim))
+            if V.n == 6:
+                saturated += P.value_at(bits & (bits - 1)) == V.ambient_dim
+    assert saturated > 12 * 63 // 2
 
 
 def test_intersect_examples():

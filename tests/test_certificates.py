@@ -12,7 +12,7 @@ from rankineq.certificates import (basis_alpha, facet_rank,
                                    verify_facet, verify_hierarchy,
                                    verify_line_identities, verify_vanishing,
                                    verify_witness_realizations, witness_T)
-from rankineq.functionals import kinser, pair
+from rankineq.functionals import Functional, kinser, pair
 from rankineq.maps import UnionMap
 from rankineq.setfunctions import SetFunction, is_matroid, is_polymatroid
 from rankineq.subsets import mobius, subset
@@ -180,6 +180,20 @@ def test_vanishing_pairing_reports_admitted_non_member(monkeypatch):
     assert not report.passed
     assert report.details[0] == (
         f"pairing with U(S={escapee!r}, d=2) is {dense}, expected 0")
+
+
+def test_vanishing_pairing_above_term_size_matches_dense(monkeypatch):
+    # a generator term of size 3 that pairs to nonzero for every d >= 3:
+    # the pairing reused from d = 3 must give the dense report line by line
+    n = 5
+    tampered = kinser(n) + Functional.unit(n, subset(n, [1, 2, 3]))
+    monkeypatch.setattr(certs, "kinser", lambda _: tampered)
+    dense = [(S, d, pair(tampered, uniform_U(n, S, d)))
+             for S, d in vanishing_family(n)]
+    assert any(d > 3 and value for S, d, value in dense)
+    assert verify_vanishing(n).details[:-1] == tuple(
+        f"pairing with U(S={S!r}, d={d}) is {value}, expected 0"
+        for S, d, value in dense if value)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

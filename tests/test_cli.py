@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, JSON output, round-trips."""
 
 import json
+from itertools import permutations
 
 import pytest
 
-from rankineq.arrangements import random_arrangement
+from rankineq.arrangements import derive_seed, random_arrangement, rank_function
 from rankineq.certificates import witness_T
 from rankineq.cli import main
-from rankineq.functionals import Functional, kinser, permute_functional
+from rankineq.functionals import (Functional, basic_functionals, kinser, pair,
+                                  permute_functional)
 from rankineq.maps import UnionMap, hierarchy_map
 from rankineq.setfunctions import SetFunction
 
@@ -204,6 +206,51 @@ def test_random_test_rejects_n_above_8(capsys, monkeypatch):
     assert main(["random-test", "--n", "9", "--trials", "0"]) == 2
     err = capsys.readouterr().err
     assert "n <= 8" in err and "181440" in err and err.count("\n") == 1
+
+
+def test_random_test_reports_what_plain_pairing_finds(capsys, monkeypatch):
+    # negative control: the generator -e*_1 - 3 e*_[n] has the basics'
+    # weight W = 4, and each orbit member -e*_i - 3 e*_[n] pairs to exactly
+    # -M*W = -4*dim where V_i and the whole sum both fill the space
+    import rankineq.cli as cli
+    n, trials, prime, dim, master = 5, 4, 7, 3, 5
+    generator = Functional(n, {1: -1, (1 << n) - 1: -3})
+    monkeypatch.setattr(cli, "kinser", lambda _: generator)
+    argv = ["random-test", "--n", str(n), "--trials", str(trials), "--prime",
+            str(prime), "--dim", str(dim), "--seed", str(master)]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    orbit = sorted({permute_functional(generator, sigma)
+                    for sigma in permutations(range(1, n + 1))},
+                   key=lambda f: f.items())
+    basics = basic_functionals(n)
+    expected = []
+    for trial in range(trials):
+        seed = derive_seed(master, trial)
+        V = random_arrangement(n, dim, prime, seed)
+        P = rank_function(V)
+        for kind, family in (("basic", basics), ("generator-orbit", orbit)):
+            for f in family:
+                value = pair(f, P)
+                if value < 0:
+                    expected.append({
+                        "trial": trial, "seed": seed, "kind": kind,
+                        "functional": f.to_json_obj(), "value": str(value),
+                        "arrangement": V.to_json_obj()})
+    assert report["violations"] == expected
+    assert any(v["value"] == str(-4 * dim) for v in expected)
+    assert report["inequalities_checked"] == len(basics) + len(orbit)
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import rankineq.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_gen_kinser", broken)
+    assert main(["gen-kinser", "--n", "4"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_random_test_large_prime(capsys):

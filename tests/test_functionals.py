@@ -6,9 +6,10 @@ from itertools import permutations
 
 import pytest
 
-from rankineq.arrangements import random_arrangement, rank_function, uniform_U
-from rankineq.functionals import (Functional, basic_functionals, kinser, pair,
-                                  permute_functional)
+from rankineq.arrangements import (derive_seed, random_arrangement,
+                                   rank_function, uniform_U)
+from rankineq.functionals import (Functional, PairingTable, basic_functionals,
+                                  kinser, pair, permute_functional)
 from rankineq.setfunctions import SetFunction
 from rankineq.subsets import subset
 
@@ -170,3 +171,47 @@ def test_json_rejects_zero_and_bad_keys():
         Functional.loads('{"n": 4, "coeffs": {"2,1": "1"}}')
     with pytest.raises(ValueError, match="exactly the keys"):
         Functional.loads('{"n": 4}')
+
+
+def test_pairing_table_flags_exactly_the_negative_pairings():
+    # negative control: the n=5 family plus sign-indefinite members, so
+    # the packed signs must agree with pair on violated functionals too
+    n = 5
+    orbit = sorted({permute_functional(kinser(n), sigma)
+                    for sigma in permutations(range(1, n + 1))},
+                   key=lambda f: f.items())
+    basics = basic_functionals(n)
+    family = (basics + orbit + [-f for f in basics]
+              + [-Functional(n, {mask: 1}) for mask in range(1, 1 << n)])
+    full = (1 << n) - 1
+    W = max(sum(abs(c) for _, c in f.items()) for f in family)
+    low, high = len(family), len(family) + 1
+    family += [Functional(n, {full: -W}), Functional(n, {full: W})]
+    table = PairingTable(n, family)
+    points = [rank_function(random_arrangement(n, d, p, derive_seed(41, trial)))
+              for trial, (d, p) in enumerate([(1, 3), (2, 101), (3, 2), (3, 101),
+                                              (4, 7), (5, 101), (6, 3)])]
+    rng = random.Random(43)
+    points += [SetFunction(n, [0] + [rng.randint(-M, M) for _ in range(full)])
+               for M in (1, 3, 7, 12)]
+    for P in points:
+        want = [i for i, f in enumerate(family) if pair(f, P) < 0]
+        assert want and table.negatives(P) == want
+        M = max(abs(v) for v in P.values_by_mask())
+        if P.value_at(full) == M:  # edge slots: pairings of exactly -M*W, +M*W
+            assert pair(family[low], P) == -M * W and low in want
+            assert pair(family[high], P) == M * W and high not in want
+
+
+def test_pairing_table_rejects_non_integers():
+    with pytest.raises(ValueError, match="integer coefficients"):
+        PairingTable(4, [Functional(4, {1: Fraction(1, 2)})])
+    with pytest.raises(ValueError, match="ground-set mismatch"):
+        PairingTable(4, [kinser(5)])
+    table = PairingTable(4, [kinser(4)])
+    half = SetFunction(4, [0] + [Fraction(1, 2)] * 15)
+    with pytest.raises(ValueError, match="integer-valued"):
+        table.negatives(half)
+    with pytest.raises(ValueError, match="ground-set mismatch"):
+        table.negatives(SetFunction.zero(5))
+    assert table.negatives(SetFunction.zero(4)) == []
