@@ -19,8 +19,12 @@ from .subsets import SubsetRef
 from .maps import UnionMap
 
 
-def _is_prime_arg(p: object) -> bool:
-    return isinstance(p, int) and not isinstance(p, bool) and is_prime(p)
+def check_dim_and_prime(d: object, p: object) -> None:
+    """Reject a field size p that is not a prime or a dimension d below 0."""
+    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise ValueError(f"bad dimension {d!r}")
 
 
 class Arrangement:
@@ -181,8 +185,7 @@ def generic_lines(n: int, S: SubsetRef, d: int, p: int) -> Arrangement:
         raise ValueError(f"subset over ground set {S.n}, expected {n}")
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
-    if not _is_prime_arg(p):
-        raise ValueError(f"p must be prime, got {p!r}")
+    check_dim_and_prime(d, p)
     members = S.elements()
     if len(members) > p:
         raise ValueError("p too small for general position")
@@ -212,10 +215,7 @@ def random_arrangement(n: int, d: int, p: int, seed: int) -> Arrangement:
     itself uniform in 0..d, so zero and full-dimensional subspaces both
     occur.
     """
-    if not _is_prime_arg(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise ValueError(f"bad dimension {d!r}")
+    check_dim_and_prime(d, p)
     SubsetRef(n, 0)
     rng = random.Random(seed)
     subs = []

@@ -14,8 +14,9 @@ import sys
 from itertools import permutations
 from math import factorial
 
-from .arrangements import Arrangement, derive_seed, random_arrangement, rank_function
-from .certificates import run_certificates
+from .arrangements import (Arrangement, check_dim_and_prime, derive_seed,
+                           random_arrangement, rank_function)
+from .certificates import CERTIFICATES, run_certificates
 from .functionals import (Functional, PairingTable, basic_functionals,
                           check_permutation, kinser, pair, permute_functional,
                           permute_mask)
@@ -111,6 +112,7 @@ def cmd_random_test(args: argparse.Namespace) -> int:
                          f"{factorial(args.n) // 2} members at n={args.n}")
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
+    check_dim_and_prime(args.dim, args.prime)
     # Distinct relabelled term tuples, in f.items() order; one expression,
     # so the tuples are freed before the trials start.
     generator = kinser(args.n).items()
@@ -180,9 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run certificate checks")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cert", default="all",
-                   choices=["all", "hierarchy", "witness", "vanishing",
-                            "identities", "facet", "basis"])
+    p.add_argument("--cert", default="all", choices=["all", *CERTIFICATES])
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("random-test",

@@ -13,6 +13,7 @@ from rankineq.certificates import (basis_alpha, facet_rank,
                                    verify_line_identities, verify_vanishing,
                                    verify_witness_realizations, witness_T)
 from rankineq.functionals import Functional, kinser, pair
+from rankineq.linalg import Echelon
 from rankineq.maps import UnionMap
 from rankineq.setfunctions import SetFunction, is_matroid, is_polymatroid
 from rankineq.subsets import mobius, subset
@@ -227,6 +228,28 @@ def test_facet_rank_rejects_admitted_non_member(monkeypatch):
         facet_rank(5)
 
 
+def _spy_echelon_fields(monkeypatch):
+    # the field of every Echelon the certificates construct, in order
+    fields = []
+
+    class SpyEchelon(Echelon):
+        def __init__(self, field, ncols):
+            fields.append(field)
+            super().__init__(field, ncols)
+
+    monkeypatch.setattr(certs, "Echelon", SpyEchelon)
+    return fields
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_facet_rank_passes_with_one_modular_sweep(monkeypatch, n):
+    # both ranks reach their bounds in the one sweep mod 2^31 - 1: the
+    # full rank is read after the non-vanishing row that lifts the span
+    fields = _spy_echelon_fields(monkeypatch)
+    assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
+    assert fields == [2 ** 31 - 1]
+
+
 def test_facet_rank_top_of_range():
     assert facet_rank(8) == (254, 255)
 
@@ -262,6 +285,26 @@ def test_basis_F_detects_tampered_alpha():
     report = verify_basis_F(5, alpha)
     assert not report.passed
     assert "{1,2}" in report.details[0]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_basis_F_runs_no_rational_elimination(monkeypatch, n):
+    fields = _spy_echelon_fields(monkeypatch)
+    assert verify_basis_F(n).passed
+    assert fields == [2 ** 31 - 1]  # the facet sweep, and no QQ elimination
+
+
+def test_basis_F_needs_the_full_vanishing_span(monkeypatch):
+    # every pairing k(S) + alpha_S k(R) is still 0, but with half the
+    # vanishing family the span is not ker kinser(5), so the test must fail
+    kept = vanishing_family(5)[::2]
+    monkeypatch.setattr(certs, "vanishing_family", lambda m: kept)
+    kernel_rank = facet_rank(5)[0]
+    assert kernel_rank < 30
+    report = verify_basis_F(5)
+    assert not report.passed
+    assert report.details == (
+        f"vanishing span has rank {kernel_rank}, expected 30",)
 
 
 def test_basis_F_domain():

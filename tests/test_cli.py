@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from rankineq.arrangements import derive_seed, random_arrangement, rank_function
-from rankineq.certificates import witness_T
+from rankineq.certificates import CERTIFICATES, witness_T
 from rankineq.cli import main
 from rankineq.functionals import (Functional, basic_functionals, kinser, pair,
                                   permute_functional)
@@ -206,6 +206,33 @@ def test_random_test_rejects_n_above_8(capsys, monkeypatch):
     assert main(["random-test", "--n", "9", "--trials", "0"]) == 2
     err = capsys.readouterr().err
     assert "n <= 8" in err and "181440" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--prime", "4", "p must be prime, got 4"),
+    ("--dim", "-1", "bad dimension -1"),
+])
+def test_random_test_rejects_bad_field_and_dimension_up_front(
+        capsys, monkeypatch, flag, value, message):
+    # the same messages random_arrangement raises, before the orbit is
+    # built, and also when no trial would ever draw an arrangement
+    import rankineq.cli as cli
+
+    def no_orbit(*args):
+        raise AssertionError("orbit built before the argument check")
+
+    monkeypatch.setattr(cli, "permutations", no_orbit)
+    for trials in ("0", "3"):
+        argv = ["random-test", "--n", "7", "--trials", trials, flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_cert_choices_are_the_certificate_names(capsys):
+    assert main(["verify", "--n", "5", "--cert", "bogus"]) == 2
+    err = capsys.readouterr().err
+    choices = ", ".join(repr(name) for name in ["all", *CERTIFICATES])
+    assert f"(choose from {choices})" in err
 
 
 def test_random_test_reports_what_plain_pairing_finds(capsys, monkeypatch):

@@ -210,3 +210,56 @@ def test_facet_rank_falls_back_to_qq_below_the_bound(monkeypatch):
     report = certs.verify_facet(n)
     assert not report.passed
     assert report.details[0] == f"ranks ({want}, 31), expected (30, 31)"
+
+
+def qq_basis_report(n, alpha, span):
+    """The basis check by elimination over QQ: span membership of each
+    e_S + alpha_S e_{1,3,n}, then the rank of the vectors that passed."""
+    r_mask = 0b101 | 1 << (n - 1)
+    failures = []
+    independence = Echelon(RATIONAL, 2 ** n - 1)
+    members = 0
+    for smask in range(1, 2 ** n):
+        if smask == r_mask:
+            continue
+        vec = [0] * (2 ** n - 1)
+        vec[smask - 1] = 1
+        a = alpha.get(smask, 0)
+        vec[r_mask - 1] += a
+        if not span.contains(vec):
+            failures.append(
+                f"e_S + alpha*e_{{1,3,{n}}} not in the vanishing span for "
+                f"S={SubsetRef(n, smask)!r} (alpha={a})")
+            break
+        members += 1
+        independence.add(vec)
+    if not failures and independence.rank != 2 ** n - 2:
+        failures.append(f"claimed basis has rank {independence.rank}, "
+                        f"expected {2 ** n - 2}")
+    outcome = "fail" if failures else "pass"
+    return outcome, tuple(failures) + (
+        f"{members} basis vectors verified in the span, "
+        f"rank {independence.rank}",)
+
+
+def test_basis_pairing_against_qq_span_membership():
+    rng = random.Random(5077)
+    for n in (5, 6, 7):
+        span = Echelon(RATIONAL, 2 ** n - 1)
+        span.extend(uniform_U(n, S, d).values_by_mask()[1:]
+                    for S, d in certs.vanishing_family(n))
+        alpha = certs.basis_alpha(n)
+        nonzero = sorted(alpha)
+        zero = [m for m in range(1, 2 ** n)
+                if m not in alpha and m != 0b101 | 1 << (n - 1)]
+        flipped = dict(alpha)
+        flip = rng.choice(nonzero)
+        flipped[flip] = -alpha[flip]
+        raised = dict(alpha)
+        raised[rng.choice(zero)] = 1
+        outcomes = []
+        for a in (alpha, flipped, raised):
+            report = certs.verify_basis_F(n, a)
+            assert (report.outcome, report.details) == qq_basis_report(n, a, span)
+            outcomes.append(report.outcome)
+        assert outcomes == ["pass", "fail", "fail"]
