@@ -20,9 +20,10 @@ from .maps import UnionMap
 
 
 def check_dim_and_prime(d: object, p: object) -> None:
-    """Reject a field size p that is not a prime or a dimension d below 0."""
+    """Reject a field size p that is not a prime below 2^64, or a d below 0."""
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
+    check_field(p)
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise ValueError(f"bad dimension {d!r}")
 
@@ -35,6 +36,7 @@ class Arrangement:
     def __init__(self, field: int, ambient_dim: int,
                  subspaces: Sequence[ExactMatrix | Iterable[Sequence[Scalar]]]):
         check_field(field)
+        SubsetRef(len(subspaces), 0)  # at most MAX_GROUND_SET: 2^n rank values
         if not isinstance(ambient_dim, int) or ambient_dim < 0:
             raise ValueError(f"bad ambient dimension {ambient_dim!r}")
         fixed = []

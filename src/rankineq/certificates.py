@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .arrangements import Arrangement, rank_function, uniform_U
+from .arrangements import Arrangement, rank_function
 from .functionals import kinser
 from .linalg import RATIONAL, Echelon, ExactMatrix, Scalar
 from .maps import UnionMap, hierarchy_map, pullback, pushforward
@@ -157,7 +156,8 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
 
     For each of the 2^n choices of phi(1) (with phi(i) = {i+1} for i >= 2)
     an arrangement over the rationals, GF(2) and GF(3) is built whose rank
-    function must equal the pulled-back witness exactly.
+    function must equal the pulled-back witness exactly.  The substitutions,
+    their pullbacks and W_1 do not depend on the field and are built once.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
         raise ValueError("4 <= n <= 8 required")
@@ -167,6 +167,11 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
         raise ValueError(f"witness over ground set {T.n}, expected {n}")
     blocks = _witness_blocks(n)
     dim = blocks["dim"]
+    tail = [[i + 1] for i in range(2, n)]  # phi(i) = {i+1} for i >= 2
+    substitutions = []  # (phi(1), pullback, W_1, kind), the same in every field
+    for cmask in range(1 << n):
+        expected = pullback(UnionMap(n - 1, n, [SubsetRef(n, cmask)] + tail), T)
+        substitutions.append((cmask, expected, *_choose_w1(n, cmask, blocks, T)))
     failures: list[str] = []
     sum_realized = False
     cases = 0
@@ -174,11 +179,7 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
         # only W_1 varies with phi(1): one rank function per distinct W_1
         fixed = [ExactMatrix(fld, blocks["W"][i], dim) for i in range(2, n)]
         ranks: dict[tuple, SetFunction] = {}
-        for cmask in range(1 << n):
-            phi = UnionMap(n - 1, n,
-                           [SubsetRef(n, cmask)] + [[i + 1] for i in range(2, n)])
-            expected = pullback(phi, T)
-            w1, kind = _choose_w1(n, cmask, blocks, T)
+        for cmask, expected, w1, kind in substitutions:
             key = tuple(map(tuple, w1))
             got = ranks.get(key)
             if got is None:
@@ -319,12 +320,6 @@ def verify_vanishing(n: int) -> CertificateReport:
 # Identities between basis vectors and generic-line polymatroids
 
 
-def _upset_indicator(n: int, base_mask: int) -> SetFunction:
-    # sum of e_A over A containing base_mask
-    return SetFunction(n, [1 if mask and mask & base_mask == base_mask else 0
-                           for mask in range(1 << n)])
-
-
 def verify_line_identities(n: int) -> CertificateReport:
     """Exact vector identities in H_n among the uniform_U polymatroids.
 
@@ -332,7 +327,9 @@ def verify_line_identities(n: int) -> CertificateReport:
     expansions of e_[n] and of the coatom vectors e_{[n]-i}, the Mobius
     expansion of e_S for |S| <= n-2, the triple identity
     U(T,3) - U(T,2) = sum of e_A over A containing T, and the four-term
-    inclusion-exclusion for line polymatroids on random (T, a, b).
+    inclusion-exclusion for line polymatroids on random (T, a, b).  Each
+    identity is a list of terms c*U(S,d), given as (S, d, c), and c*e_A,
+    given as (A, c), whose integer rows must sum to the zero vector.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
         raise ValueError("4 <= n <= 8 required")
@@ -340,48 +337,46 @@ def verify_line_identities(n: int) -> CertificateReport:
     full = (1 << n) - 1
     counts = {}
 
-    @lru_cache(maxsize=None)  # local, so the vectors go when the check returns
-    def _u(n: int, smask: int, d: int) -> SetFunction:
-        return uniform_U(n, SubsetRef(n, smask), d)
+    def zero_sum(lines: Iterable[tuple], units: Iterable[tuple] = ()) -> bool:
+        total = [0] * full
+        for smask, d, c in lines:
+            total = [t + c * u for t, u in zip(total, _u_row(n, smask, d))]
+        for amask, c in units:
+            total[amask - 1] += c
+        return not any(total)
+
+    def supersets(mask: int) -> list[int]:
+        return [amask for amask in range(mask, full + 1) if amask & mask == mask]
 
     # splitting: U(S, d) with d >= |S| decomposes into single lines
     checked = 0
     for smask in range(1 << n):
-        lines = SetFunction.zero(n)
-        for i in range(n):
-            if smask >> i & 1:
-                lines = lines + _u(n, 1 << i, 1)
+        lines = [(1 << i, 1, -1) for i in range(n) if smask >> i & 1]
         for d in range(max(1, smask.bit_count()), n + 1):
-            if _u(n, smask, d) != lines:
+            if not zero_sum([(smask, d, 1)] + lines):
                 failures.append(f"splitting fails for S={SubsetRef(n, smask)!r}, d={d}")
             checked += 1
     counts["splitting"] = checked
 
     # e_[n] and coatoms
-    if SetFunction.indicator(n, SubsetRef(n, full)) != _u(n, full, n) - _u(n, full, n - 1):
+    if not zero_sum([(full, n, 1), (full, n - 1, -1)], [(full, -1)]):
         failures.append("top identity fails: e_[n] != U([n],n) - U([n],n-1)")
     for i in range(n):
         smask = full ^ (1 << i)
-        want = _u(n, full, n - 1) - _u(n, smask, n - 2) - _u(n, 1 << i, 1)
-        if SetFunction.indicator(n, SubsetRef(n, smask)) != want:
+        if not zero_sum([(full, n - 1, 1), (smask, n - 2, -1), (1 << i, 1, -1)],
+                        [(smask, -1)]):
             failures.append(f"coatom identity fails for S={SubsetRef(n, smask)!r}")
     counts["top-and-coatoms"] = n + 1
 
-    # Mobius expansion of e_S for |S| <= n - 2
+    # Mobius expansion of e_S for |S| <= n - 2; U(A, 0) is the zero vector
     checked = 0
     for smask in range(1, 1 << n):
         if smask.bit_count() > n - 2:
             continue
         S = SubsetRef(n, smask)
-        acc = SetFunction.zero(n)
-        free = full ^ smask
-        for amask in (smask | extra for extra in _submasks(free)):
-            size = amask.bit_count()
-            if size <= 1:
-                continue  # U(A, 0) is the zero vector
-            sign = -mobius(S, SubsetRef(n, amask))
-            acc = acc + sign * _u(n, amask, size - 1)
-        if acc != SetFunction.indicator(n, S):
+        lines = [(amask, amask.bit_count() - 1, -mobius(S, SubsetRef(n, amask)))
+                 for amask in supersets(smask)]
+        if not zero_sum(lines, [(smask, -1)]):
             failures.append(f"Mobius expansion fails for S={S!r}")
         checked += 1
     counts["mobius"] = checked
@@ -391,7 +386,8 @@ def verify_line_identities(n: int) -> CertificateReport:
     for tmask in range(1, 1 << n):
         if tmask.bit_count() != 3:
             continue
-        if _u(n, tmask, 3) - _u(n, tmask, 2) != _upset_indicator(n, tmask):
+        if not zero_sum([(tmask, 3, 1), (tmask, 2, -1)],
+                        [(amask, -1) for amask in supersets(tmask)]):
             failures.append(f"triple identity fails for {SubsetRef(n, tmask)!r}")
         checked += 1
     counts["triples"] = checked
@@ -405,12 +401,11 @@ def verify_line_identities(n: int) -> CertificateReport:
         if len(outside) < 2:
             continue
         a, b = rng.sample(outside, 2)
-        lhs = (_u(n, tmask | 1 << a, 1) + _u(n, tmask | 1 << b, 1)
-               - _u(n, tmask, 1) - _u(n, tmask | 1 << a | 1 << b, 1))
-        rhs = SetFunction(n, [1 if mask >> a & 1 and mask >> b & 1
-                              and not mask & tmask else 0
-                              for mask in range(1 << n)])
-        if lhs != rhs:
+        ab = 1 << a | 1 << b
+        lines = [(tmask | 1 << a, 1, 1), (tmask | 1 << b, 1, 1),
+                 (tmask, 1, -1), (tmask | ab, 1, -1)]
+        if not zero_sum(lines, [(amask, -1) for amask in supersets(ab)
+                                if not amask & tmask]):
             failures.append(
                 f"four-term identity fails for T={SubsetRef(n, tmask)!r}, "
                 f"a={a + 1}, b={b + 1}")
@@ -419,16 +414,6 @@ def verify_line_identities(n: int) -> CertificateReport:
 
     notes = [", ".join(f"{k}: {v}" for k, v in counts.items())]
     return _report("line_identities", n, failures, notes)
-
-
-def _submasks(mask: int) -> list[int]:
-    out = [0]
-    m = mask
-    while m:
-        bit = m & -m
-        out += [s | bit for s in out]
-        m ^= bit
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

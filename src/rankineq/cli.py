@@ -113,6 +113,9 @@ def cmd_random_test(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     check_dim_and_prime(args.dim, args.prime)
+    if args.dim > 64:
+        raise ValueError(f"--dim <= 64 required, got {args.dim}: a trial "
+                         "row-reduces up to d vectors of length d per subspace")
     # Distinct relabelled term tuples, in f.items() order; one expression,
     # so the tuples are freed before the trials start.
     generator = kinser(args.n).items()

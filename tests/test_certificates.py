@@ -16,7 +16,7 @@ from rankineq.functionals import Functional, kinser, pair
 from rankineq.linalg import Echelon
 from rankineq.maps import UnionMap
 from rankineq.setfunctions import SetFunction, is_matroid, is_polymatroid
-from rankineq.subsets import mobius, subset
+from rankineq.subsets import SubsetRef, mobius, subset
 
 
 def test_witness_values_at_4():
@@ -212,6 +212,58 @@ def test_line_identities_detect_flipped_mobius_sign(monkeypatch):
     report = verify_line_identities(4)
     assert not report.passed
     assert any("Mobius expansion" in d for d in report.details)
+
+
+@pytest.mark.parametrize("elems,d,line,families", [
+    ([1, 2], 3, "splitting fails for S={1,2}, d=3", {"splitting"}),
+    ([1, 2, 3, 4, 5], 5, "top identity fails: e_[n] != U([n],n) - U([n],n-1)",
+     {"splitting", "top"}),
+    ([1, 2, 3, 5], 3, "coatom identity fails for S={1,2,3,5}", {"coatom", "Mobius"}),
+    ([2, 3, 5], 2, "Mobius expansion fails for S={2,3,5}", {"Mobius", "triple"}),
+    ([2, 3, 5], 3, "triple identity fails for {2,3,5}", {"splitting", "triple"}),
+    ([1, 2, 3, 4], 1, "four-term identity fails for T=", {"four-term"}),
+], ids=["splitting", "top", "coatom", "mobius", "triple", "four-term"])
+def test_line_identities_fail_on_a_corrupted_term(monkeypatch, elems, d, line, families):
+    # one row U(S, d) off by one in one coordinate: exactly the families with
+    # an identity using U(S, d) fail, each with its own message
+    bad = (subset(5, elems).bits, d)
+    row = certs._u_row
+
+    def corrupted(n, smask, dd):
+        out = row(n, smask, dd)
+        if (smask, dd) == bad:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(certs, "_u_row", corrupted)
+    report = verify_line_identities(5)
+    assert not report.passed
+    assert any(got.startswith(line) for got in report.details)
+    assert {got.split()[0] for got in report.details[:-1]} == families
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_u_row_is_the_uniform_polymatroid(n):
+    # the identities sum these rows; tie them to the public polymatroid
+    for smask in range(1 << n):
+        for d in range(1, n + 2):
+            want = uniform_U(n, SubsetRef(n, smask), d).values_by_mask()[1:]
+            assert certs._u_row(n, smask, d) == list(want)
+
+
+def test_line_identities_build_no_set_function(monkeypatch):
+    built = []
+    init = SetFunction.__init__
+
+    def spy(self, n, values):
+        built.append(n)
+        init(self, n, values)
+
+    monkeypatch.setattr(SetFunction, "__init__", spy)
+    assert verify_line_identities(6).passed
+    assert built == []
+    uniform_U(6, subset(6, [1, 2]), 1)  # the spy does see a construction
+    assert built == [6]
 
 
 @pytest.mark.parametrize("n,expected", [(4, (14, 15)), (5, (30, 31))])

@@ -211,6 +211,10 @@ def test_random_test_rejects_n_above_8(capsys, monkeypatch):
 @pytest.mark.parametrize("flag,value,message", [
     ("--prime", "4", "p must be prime, got 4"),
     ("--dim", "-1", "bad dimension -1"),
+    ("--prime", str(2 ** 64 + 13), "field must be 0 (rationals) or a prime "
+     f"below 2^64, got {2 ** 64 + 13}"),
+    ("--dim", "65", "--dim <= 64 required, got 65: a trial row-reduces up to "
+     "d vectors of length d per subspace"),
 ])
 def test_random_test_rejects_bad_field_and_dimension_up_front(
         capsys, monkeypatch, flag, value, message):
@@ -226,6 +230,30 @@ def test_random_test_rejects_bad_field_and_dimension_up_front(
         argv = ["random-test", "--n", "7", "--trials", trials, flag, value]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_random_test_accepts_dim_64(capsys):
+    argv = ["random-test", "--n", "4", "--trials", "1", "--dim", "64"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
+@pytest.mark.parametrize("count", [21, 64])
+def test_realize_rejects_too_many_subspaces_up_front(files, capsys, monkeypatch,
+                                                     count):
+    # the 2^n rank table must not be built: at 64 it cannot be, at 21 it
+    # took seconds and hundreds of MiB before the ground-set check
+    import rankineq.cli as cli
+
+    def no_ranks(V):
+        raise AssertionError("rank table built before the count check")
+
+    monkeypatch.setattr(cli, "rank_function", no_ranks)
+    arr = files("big.json", {"field": 2, "ambient_dim": 1,
+                             "subspaces": [[] for _ in range(count)]})
+    assert main(["realize", arr]) == 2
+    assert capsys.readouterr().err == \
+        f"error: ground-set size must be in 1..20, got {count}\n"
 
 
 def test_verify_cert_choices_are_the_certificate_names(capsys):
