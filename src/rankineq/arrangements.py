@@ -110,31 +110,31 @@ class Arrangement:
 
 
 def rank_function(V: Arrangement) -> SetFunction:
-    """The arrangement's polymatroid: A |-> dim(sum of V_i over i in A).
+    """The arrangement's polymatroid: A |-> dim(sum of V_i over i in A)."""
+    return SetFunction(V.n, [ech.rank for ech in sum_echelons(
+        V.field, V.ambient_dim, [sub.rows for sub in V.subspaces])])
+
+
+def sum_echelons(field: int, d: int,
+                 subspaces: Sequence[Sequence[Sequence[Scalar]]]) -> list[Echelon]:
+    """Echelon of the sum of subspaces[i], i in mask, for every mask.
 
     Sweeps the subset lattice incrementally: the echelon basis of each
     subset is its parent's (minus the lowest index) extended by one
-    subspace, so every basis row is inserted exactly once per subset.
+    subspace's rows, so every row is inserted exactly once per subset.
     A parent that already spans the ambient space is shared, not copied:
     any sum containing the whole space is the whole space, and a state of
     rank d is never extended, because its children take the same branch.
     """
-    n, d = V.n, V.ambient_dim
-    states: list[Echelon] = [None] * (1 << n)  # type: ignore[list-item]
-    states[0] = Echelon(V.field, d)
-    vals: list[Scalar] = [0] * (1 << n)
-    for mask in range(1, 1 << n):
+    states = [Echelon(field, d)]
+    for mask in range(1, 1 << len(subspaces)):
         low = mask & -mask
         parent = states[mask ^ low]
-        if parent.rank == d:
-            states[mask] = parent
-            vals[mask] = d
-            continue
-        ech = parent.copy()
-        ech.extend(V.subspaces[low.bit_length() - 1].rows)
-        states[mask] = ech
-        vals[mask] = ech.rank
-    return SetFunction(n, vals)
+        if parent.rank < d:
+            parent = parent.copy()
+            parent.extend(subspaces[low.bit_length() - 1])
+        states.append(parent)
+    return states
 
 
 def intersect(V: Arrangement, indices: SubsetRef) -> ExactMatrix:

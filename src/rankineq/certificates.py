@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .arrangements import Arrangement, rank_function
+from .arrangements import sum_echelons
 from .functionals import kinser
-from .linalg import RATIONAL, Echelon, ExactMatrix, Scalar
+from .linalg import RATIONAL, Echelon, Scalar
 from .maps import UnionMap, hierarchy_map, pullback, pushforward
 from .setfunctions import SetFunction
 from .subsets import SubsetRef, mobius
@@ -144,20 +145,28 @@ def _choose_w1(n: int, cmask: int, blocks: dict,
     raise AssertionError(f"unhandled substitution image {cset}")
 
 
-def _first_mismatch(got: SetFunction, want: SetFunction) -> tuple[SubsetRef, object, object]:
-    for mask in range(1, 1 << got.n):
-        if got.value_at(mask) != want.value_at(mask):
-            return SubsetRef(got.n, mask), got.value_at(mask), want.value_at(mask)
-    raise AssertionError("no mismatch found")
+def _witness_ranks(fixed: Sequence[Echelon], dim: int,
+                   w1: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Rank function of (W_1, ..., W_{n-1}); fixed[m] spans W_{i+2}, i in m.
+
+    Mask 2m + 1 extends a copy of fixed[m] by W_1, unless it spans everything.
+    """
+    vals = []
+    for ech in fixed:
+        odd = dim if ech.rank == dim else ech.rank + ech.copy().extend(w1)
+        vals += (ech.rank, odd)
+    return tuple(vals)
 
 
 def verify_witness_realizations(n: int, T: SetFunction | None = None) -> CertificateReport:
     """Every substitution image of the witness is realizable, explicitly.
 
     For each of the 2^n choices of phi(1) (with phi(i) = {i+1} for i >= 2)
-    an arrangement over the rationals, GF(2) and GF(3) is built whose rank
-    function must equal the pulled-back witness exactly.  The substitutions,
-    their pullbacks and W_1 do not depend on the field and are built once.
+    an arrangement (W_1, ..., W_{n-1}) over the rationals, GF(2) and GF(3)
+    must have the pulled-back witness as its rank function exactly.  The
+    substitutions, their pullbacks and W_1 do not depend on the field and
+    are built once.  In each field the echelons of all sums of W_2, ...,
+    W_{n-1} are built once, and each distinct W_1 extends them.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
         raise ValueError("4 <= n <= 8 required")
@@ -168,28 +177,28 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
     blocks = _witness_blocks(n)
     dim = blocks["dim"]
     tail = [[i + 1] for i in range(2, n)]  # phi(i) = {i+1} for i >= 2
-    substitutions = []  # (phi(1), pullback, W_1, kind), the same in every field
+    substitutions = []  # (phi(1), pullback values, W_1, kind), in every field
     for cmask in range(1 << n):
         expected = pullback(UnionMap(n - 1, n, [SubsetRef(n, cmask)] + tail), T)
-        substitutions.append((cmask, expected, *_choose_w1(n, cmask, blocks, T)))
+        substitutions.append((cmask, expected.values_by_mask(),
+                              *_choose_w1(n, cmask, blocks, T)))
     failures: list[str] = []
     sum_realized = False
     cases = 0
     for fld, fld_name in ((RATIONAL, "rationals"), (2, "GF(2)"), (3, "GF(3)")):
-        # only W_1 varies with phi(1): one rank function per distinct W_1
-        fixed = [ExactMatrix(fld, blocks["W"][i], dim) for i in range(2, n)]
-        ranks: dict[tuple, SetFunction] = {}
+        fixed = sum_echelons(fld, dim, [blocks["W"][i] for i in range(2, n)])
+        ranks: dict[tuple, tuple[int, ...]] = {}
         for cmask, expected, w1, kind in substitutions:
             key = tuple(map(tuple, w1))
             got = ranks.get(key)
             if got is None:
-                got = ranks[key] = rank_function(Arrangement(fld, dim, [w1] + fixed))
+                got = ranks[key] = _witness_ranks(fixed, dim, w1)
             cases += 1
             if got != expected:
-                where, g, w = _first_mismatch(got, expected)
+                m = next(m for m, (g, w) in enumerate(zip(got, expected)) if g != w)
                 failures.append(
-                    f"{fld_name}, phi(1)={SubsetRef(n, cmask)!r}: rank function "
-                    f"differs at {where!r}: arrangement {g}, pullback {w}")
+                    f"{fld_name}, phi(1)={SubsetRef(n, cmask)!r}: rank function differs "
+                    f"at {SubsetRef(n - 1, m)!r}: arrangement {got[m]}, pullback {expected[m]}")
                 break
             sum_realized = sum_realized or kind == _SUM_CASE
         if failures:
@@ -320,6 +329,35 @@ def verify_vanishing(n: int) -> CertificateReport:
 # Identities between basis vectors and generic-line polymatroids
 
 
+_PACK_BITS = 16  # bits per coordinate of a packed row, a multiple of 8
+
+
+def _zero_sum(n: int, rows: dict, lines: Sequence[tuple[int, int, int]],
+              units: Sequence[tuple[int, int]] = ()) -> bool:
+    """Whether sum c*U(S,d) over lines plus sum c*e_A over units is 0 in H_n.
+
+    Rows are cached in rows, packed w = _PACK_BITS bits per coordinate with
+    coordinate A - 1 at bit w(A - 1).  Packing is linear, and a packed vector
+    is 0 only if each coordinate is, once all have size below 2^w; U(S, d)
+    has entries 0..n, so the bound n * sum |c| + sum |c_unit| is checked.
+    """
+    w = _PACK_BITS
+    bound = n * sum(abs(c) for _, _, c in lines) + sum(abs(c) for _, c in units)
+    if bound >> w:
+        raise RuntimeError(f"identity terms reach {bound}, beyond {w}-bit packing")
+    total = 0
+    for smask, d, c in lines:
+        row = rows.get((smask, d))
+        if row is None:
+            buf = bytearray(w // 8 * ((1 << n) - 1))
+            buf[::w // 8] = _u_row(n, smask, d)
+            row = rows[smask, d] = int.from_bytes(buf, "little")
+        total += c * row
+    for amask, c in units:
+        total += c << w * (amask - 1)
+    return total == 0
+
+
 def verify_line_identities(n: int) -> CertificateReport:
     """Exact vector identities in H_n among the uniform_U polymatroids.
 
@@ -329,21 +367,15 @@ def verify_line_identities(n: int) -> CertificateReport:
     U(T,3) - U(T,2) = sum of e_A over A containing T, and the four-term
     inclusion-exclusion for line polymatroids on random (T, a, b).  Each
     identity is a list of terms c*U(S,d), given as (S, d, c), and c*e_A,
-    given as (A, c), whose integer rows must sum to the zero vector.
+    given as (A, c), whose integer rows, each built once as a packed int,
+    must sum to the zero vector.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
         raise ValueError("4 <= n <= 8 required")
     failures: list[str] = []
     full = (1 << n) - 1
     counts = {}
-
-    def zero_sum(lines: Iterable[tuple], units: Iterable[tuple] = ()) -> bool:
-        total = [0] * full
-        for smask, d, c in lines:
-            total = [t + c * u for t, u in zip(total, _u_row(n, smask, d))]
-        for amask, c in units:
-            total[amask - 1] += c
-        return not any(total)
+    zero_sum = partial(_zero_sum, n, {})  # one packed-row cache per call
 
     def supersets(mask: int) -> list[int]:
         return [amask for amask in range(mask, full + 1) if amask & mask == mask]
@@ -420,23 +452,25 @@ def verify_line_identities(n: int) -> CertificateReport:
 # Facet dimension and explicit basis
 
 
-_FACET_PRIME = 2 ** 31 - 1
+_PARITY = bytes(48 + (x & 1) for x in range(256))  # byte x -> ASCII x mod 2
 
 
-def _sweep(field: int, n: int, kernel: Iterable[tuple[int, int]],
-           others: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Ranks of the U(S, d) in kernel, then in both, to 2^n - 2 and 2^n - 1."""
-    ncols = (1 << n) - 1
-    ech = Echelon(field, ncols)
-    for smask, d in kernel:
-        if ech.add(_u_row(n, smask, d)) and ech.rank == ncols - 1:
-            break
-    kernel_rank = ech.rank
-    for smask, d in others:
-        if ech.rank == ncols:
-            break
-        ech.add(_u_row(n, smask, d))
-    return kernel_rank, ech.rank
+def _gf2_row(n: int, smask: int, d: int) -> int:
+    """U(S, d) mod 2 as one int: bit A - 1 holds min(d, |A meet S|) mod 2."""
+    return int(bytes(_u_row(n, smask, d)[::-1]).translate(_PARITY), 2)
+
+
+def _gf2_rank(rows: Iterable[int], stop: int) -> int:
+    """Rank over GF(2) of bitset rows, capped at stop; pivots keyed on the lead bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row and (pivot := pivots.get(row.bit_length())):
+            row ^= pivot
+        if row:
+            pivots[row.bit_length()] = row
+            if len(pivots) == stop:
+                break
+    return len(pivots)
 
 
 def facet_rank(n: int) -> tuple[int, int]:
@@ -444,14 +478,12 @@ def facet_rank(n: int) -> tuple[int, int]:
 
     Returns (rank of the vanishing family, rank of all U(S,d) with
     1 <= d <= n).  Each vanishing member is re-verified to pair to 0 with
-    the nonzero generator, so that family's rank over QQ is at most 2^n - 2
-    and the full family's at most dim H_n = 2^n - 1.  One sweep mod
-    2^31 - 1 takes the vanishing rows first; each rank is exact once it
-    reaches its bound, since integer rows have no larger rank mod p than
-    over QQ.  A vanishing span of rank 2^n - 2 is ker kinser(n), so the
-    first row that pairs to nonzero lifts it to H_n.  A rank that stops
-    short is recomputed by one elimination over QQ, which goes on to the
-    other rows only if the full rank stopped short.
+    the nonzero generator, so that family's rank over QQ is at most 2^n - 2,
+    and its rank over GF(2), on bitset rows, is no larger: one that reaches
+    2^n - 2 is exact.  The span is then ker kinser(n), so the full family
+    has rank 2^n - 1 if some U(S, d) pairs to nonzero, exactly, else 2^n - 2.
+    A GF(2) rank that stops short is recomputed by one elimination over QQ,
+    which goes on to the other rows to decide the full rank as well.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
         raise ValueError("4 <= n <= 8 required")
@@ -463,24 +495,27 @@ def facet_rank(n: int) -> tuple[int, int]:
             raise RuntimeError(
                 f"vanishing family member U(S={S!r}, d={d}) pairs to {value}")
         kernel.append((S.bits, d))
-    others = sorted({(smask, d) for smask in range(1, 1 << n)
-                     for d in range(1, n + 1)} - set(kernel))
     ncols = (1 << n) - 1
-    ranks = _sweep(_FACET_PRIME, n, kernel, others)
-    if ranks[1] < ncols:
-        return _sweep(RATIONAL, n, kernel, others)
-    if ranks[0] < ncols - 1:
-        return _sweep(RATIONAL, n, kernel, ())[0], ncols
-    return ranks
+    family = [(smask, d) for smask in range(1, 1 << n) for d in range(1, n + 1)]
+    if _gf2_rank((_gf2_row(n, smask, d) for smask, d in kernel), ncols - 1) < ncols - 1:
+        ech = Echelon(RATIONAL, ncols)
+        ech.extend(_u_row(n, smask, d) for smask, d in kernel)
+        kernel_rank = ech.rank
+        ech.extend(_u_row(n, smask, d) for smask, d in family if ech.rank < ncols)
+        return kernel_rank, ech.rank
+    # every kernel member pairs to 0, so a nonzero pairing lifts the span
+    lifted = any(_pair_uniform(terms, smask, d) for smask, d in family)
+    return ncols - 1, (ncols if lifted else ncols - 1)
 
 
-def verify_facet(n: int) -> CertificateReport:
+def verify_facet(n: int, ranks: tuple[int, int] | None = None) -> CertificateReport:
     """The vanishing family spans a hyperplane of the full family's span.
 
     Expected ranks are 2^n - 2 and 2^n - 1: the inequality cuts out a
-    codimension-1 face, which is what makes it irreducible.
+    codimension-1 face, which is what makes it irreducible.  The caller
+    may pass ranks = facet_rank(n) already computed.
     """
-    got = facet_rank(n)
+    got = ranks or facet_rank(n)
     want = (2 ** n - 2, 2 ** n - 1)
     failures = []
     if got != want:
@@ -512,19 +547,21 @@ def basis_alpha(n: int) -> dict[int, int]:
     return alpha
 
 
-def verify_basis_F(n: int, alpha: dict[int, int] | None = None) -> CertificateReport:
+def verify_basis_F(n: int, alpha: dict[int, int] | None = None,
+                   ranks: tuple[int, int] | None = None) -> CertificateReport:
     """The claimed facet basis lies in the vanishing family's span.
 
     Once facet_rank certifies rank 2^n - 2, the span is ker k, k = kinser(n),
     so e_S + alpha_S * e_R (R = {1,3,n}, S != R) lies in it exactly when
     k(S) + alpha_S * k(R) = 0.  Each vector has its own unit coordinate S,
     so the vectors are independent and their rank is the number checked.
+    The caller may pass ranks = facet_rank(n) already computed.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 5 <= n <= 7:
         raise ValueError("5 <= n <= 7 required")
     if alpha is None:
         alpha = basis_alpha(n)
-    kernel_rank = facet_rank(n)[0]
+    kernel_rank = (ranks or facet_rank(n))[0]
     if kernel_rank != (1 << n) - 2:
         return _report("basis_F", n, [
             f"vanishing span has rank {kernel_rank}, expected {(1 << n) - 2}"])
@@ -563,8 +600,10 @@ CERTIFICATES: dict[str, tuple[Callable[[int], CertificateReport], range]] = {
 def run_certificates(n: int, which: str = "all") -> list[CertificateReport]:
     """Run one named certificate, or every one applicable at this n."""
     if which == "all":
-        reports = [check(n) for check, valid in CERTIFICATES.values()
-                   if n in valid]
+        # one facet_rank(n) serves the facet and basis reports
+        ranks = facet_rank(n) if n in CERTIFICATES["facet"][1] else None
+        reports = [check(n, ranks=ranks) if name in ("facet", "basis") else check(n)
+                   for name, (check, valid) in CERTIFICATES.items() if n in valid]
         if not reports:
             raise ValueError(f"no certificate is applicable at n={n}")
         return reports

@@ -68,7 +68,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gen_kinser(args: argparse.Namespace) -> int:
     f = kinser(args.n)
-    if args.permute:
+    if args.permute is not None:
         try:
             images = [int(x) for x in args.permute.split(",")]
         except ValueError:

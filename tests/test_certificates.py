@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import rankineq.arrangements as arrangements
 import rankineq.certificates as certs
 from rankineq.arrangements import rank_function, uniform_U
 from rankineq.certificates import (basis_alpha, facet_rank,
@@ -251,6 +252,36 @@ def test_u_row_is_the_uniform_polymatroid(n):
             assert certs._u_row(n, smask, d) == list(want)
 
 
+def test_line_identities_build_each_row_once(monkeypatch):
+    built = []
+    row = certs._u_row
+
+    def spy(n, smask, d):
+        built.append((smask, d))
+        return row(n, smask, d)
+
+    monkeypatch.setattr(certs, "_u_row", spy)
+    assert verify_line_identities(6).passed
+    assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("width", [2, 8])
+def test_packed_zero_sum_is_exact_below_the_width(width):
+    # 2^width at coordinate {1} minus 1 at coordinate {2} is not zero, but
+    # packs to zero at that width: the packing must be wider than any term
+    units = [(0b1, 1 << width), (0b10, -1)]
+    assert not certs._zero_sum(5, {}, [], units)
+    assert certs._zero_sum(5, {}, [], units + [(0b1, -(1 << width)), (0b10, 1)])
+
+
+def test_packed_zero_sum_checks_its_width(monkeypatch):
+    monkeypatch.setattr(certs, "_PACK_BITS", 8)
+    with pytest.raises(RuntimeError, match="beyond 8-bit packing"):
+        certs._zero_sum(5, {}, [], [(0b1, 256), (0b10, -1)])
+    with pytest.raises(RuntimeError, match="beyond 8-bit packing"):
+        verify_line_identities(8)  # a Mobius identity has 128 lines of size 8
+
+
 def test_line_identities_build_no_set_function(monkeypatch):
     built = []
     init = SetFunction.__init__
@@ -293,13 +324,46 @@ def _spy_echelon_fields(monkeypatch):
     return fields
 
 
+def _spy_gf2_sweeps(monkeypatch):
+    # the stop bound of every GF(2) kernel sweep the certificates run
+    stops = []
+    sweep = certs._gf2_rank
+
+    def spy(rows, stop):
+        stops.append(stop)
+        return sweep(rows, stop)
+
+    monkeypatch.setattr(certs, "_gf2_rank", spy)
+    return stops
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_facet_rank_passes_with_one_modular_sweep(monkeypatch, n):
-    # both ranks reach their bounds in the one sweep mod 2^31 - 1: the
-    # full rank is read after the non-vanishing row that lifts the span
+    # the kernel rank reaches its bound in one sweep mod 2, and the full
+    # rank is lifted by an exact pairing: no Echelon is built at all
     fields = _spy_echelon_fields(monkeypatch)
+    stops = _spy_gf2_sweeps(monkeypatch)
     assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
-    assert fields == [2 ** 31 - 1]
+    assert fields == []
+    assert stops == [2 ** n - 2]
+
+
+def test_facet_full_rank_comes_from_an_exact_pairing(monkeypatch):
+    # the lift to 2^n - 1 needs some U(S, d) outside the vanishing family
+    # whose exact pairing with the generator is nonzero
+    n = 5
+    calls = []
+    pair_uniform = certs._pair_uniform
+
+    def spy(terms, smask, d):
+        value = pair_uniform(terms, smask, d)
+        calls.append((smask, d, value))
+        return value
+
+    monkeypatch.setattr(certs, "_pair_uniform", spy)
+    assert facet_rank(n) == (30, 31)
+    members = {(S.bits, d) for S, d in vanishing_family(n)}
+    assert any(value and (smask, d) not in members for smask, d, value in calls)
 
 
 def test_facet_rank_top_of_range():
@@ -342,8 +406,19 @@ def test_basis_F_detects_tampered_alpha():
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_basis_F_runs_no_rational_elimination(monkeypatch, n):
     fields = _spy_echelon_fields(monkeypatch)
+    stops = _spy_gf2_sweeps(monkeypatch)
     assert verify_basis_F(n).passed
-    assert fields == [2 ** 31 - 1]  # the facet sweep, and no QQ elimination
+    assert fields == []  # no elimination over QQ, nor any other Echelon
+    assert stops == [2 ** n - 2]  # the facet sweep, mod 2
+
+
+def test_run_certificates_runs_the_facet_sweep_once(monkeypatch):
+    # the facet and basis reports share one facet_rank(7)
+    stops = _spy_gf2_sweeps(monkeypatch)
+    reports = run_certificates(7)
+    assert all(r.passed for r in reports)
+    assert {"facet_rank", "basis_F"} <= {r.check for r in reports}
+    assert stops == [2 ** 7 - 2]
 
 
 def test_basis_F_needs_the_full_vanishing_span(monkeypatch):
@@ -362,6 +437,17 @@ def test_basis_F_needs_the_full_vanishing_span(monkeypatch):
 def test_basis_F_domain():
     with pytest.raises(ValueError):
         verify_basis_F(4)
+
+
+def test_witness_realizations_build_no_arrangement(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the witness must not build this")
+
+    monkeypatch.setattr(arrangements, "rank_function", forbidden)
+    monkeypatch.setattr(arrangements, "Arrangement", forbidden)
+    monkeypatch.setattr(certs, "rank_function", forbidden, raising=False)
+    monkeypatch.setattr(certs, "Arrangement", forbidden, raising=False)
+    assert verify_witness_realizations(6).passed
 
 
 def test_witness_arrangement_field_independent():

@@ -59,6 +59,14 @@ def test_gen_kinser_bad_permutation(capsys):
     assert main(["gen-kinser", "--n", "4", "--permute", "a,b"]) == 2
 
 
+def test_gen_kinser_empty_permutation(capsys):
+    # an empty value is a malformed permutation, not a missing option
+    assert main(["gen-kinser", "--n", "4", "--permute", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed permutation ''\n"
+
+
 def test_check_polymatroid(files, capsys):
     p = files("w.json", witness_T(4).to_json_obj())
     assert main(["check", p]) == 0

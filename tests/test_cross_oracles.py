@@ -8,9 +8,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 import rankineq.certificates as certs
 from rankineq.arrangements import (Arrangement, random_arrangement,
-                                   rank_function, uniform_U)
+                                   rank_function, sum_echelons, uniform_U)
 from rankineq.functionals import kinser, pair
 from rankineq.linalg import RATIONAL, Echelon, ExactMatrix
 from rankineq.subsets import SubsetRef
@@ -263,3 +265,98 @@ def test_basis_pairing_against_qq_span_membership():
             assert (report.outcome, report.details) == qq_basis_report(n, a, span)
             outcomes.append(report.outcome)
         assert outcomes == ["pass", "fail", "fail"]
+
+
+def gf2_echelon_rank(rows, ncols):
+    """Rank of 0/1 rows by Echelon over GF(2), one list entry per column."""
+    ech = Echelon(2, ncols)
+    ech.extend(rows)
+    return ech.rank
+
+
+def bits(row):
+    """The bitset the GF(2) sweep stores: bit j holds row[j] mod 2."""
+    return sum(1 << j for j, x in enumerate(row) if x % 2)
+
+
+def test_gf2_bitset_rank_against_echelon_on_vanishing_rows():
+    for n in (4, 5, 6):
+        ncols = 2 ** n - 1
+        rows = [certs._u_row(n, S.bits, d) for S, d in certs.vanishing_family(n)]
+        packed = [certs._gf2_row(n, S.bits, d)
+                  for S, d in certs.vanishing_family(n)]
+        assert packed == [bits(row) for row in rows]
+        want = gf2_echelon_rank(rows, ncols)
+        assert certs._gf2_rank(packed, ncols) == want == ncols - 1
+        # the stop bound caps the rank and nothing else
+        assert certs._gf2_rank(packed, want - 1) == want - 1
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda c: st.tuples(
+    st.just(c), st.lists(st.lists(st.integers(0, 1), min_size=c, max_size=c),
+                         max_size=14))))
+def test_gf2_bitset_rank_against_echelon_on_random_rows(case):
+    ncols, rows = case
+    assert certs._gf2_rank([bits(row) for row in rows], ncols + 1) == \
+        gf2_echelon_rank(rows, ncols)
+
+
+def test_witness_ranks_against_rank_function():
+    for n in (5, 6):
+        blocks = certs._witness_blocks(n)
+        dim, T = blocks["dim"], certs.witness_T(n)
+        fixed = [blocks["W"][i] for i in range(2, n)]
+        w1s = {tuple(map(tuple, certs._choose_w1(n, cmask, blocks, T)[0]))
+               for cmask in range(2 ** n)}
+        for field in (RATIONAL, 2, 3):
+            states = sum_echelons(field, dim, fixed)
+            for w1 in w1s:
+                want = rank_function(Arrangement(field, dim, [w1] + fixed))
+                assert tuple(certs._witness_ranks(states, dim, w1)) == \
+                    want.values_by_mask()
+
+
+def dense_zero_sum(n, lines, units):
+    """The identity summed as plain lists of 2^n - 1 integers."""
+    total = [0] * (2 ** n - 1)
+    for smask, d, c in lines:
+        total = [t + c * u for t, u in zip(total, certs._u_row(n, smask, d))]
+    for amask, c in units:
+        total[amask - 1] += c
+    return not any(total)
+
+
+PACKED_ZERO_SUM = certs._zero_sum
+
+
+def _zero_sums_against_dense(monkeypatch, n):
+    outcomes = []
+
+    def both(m, rows, lines, units=()):
+        got = PACKED_ZERO_SUM(m, rows, lines, units)
+        assert got == dense_zero_sum(m, lines, units)
+        outcomes.append(got)
+        return got
+
+    monkeypatch.setattr(certs, "_zero_sum", both)
+    certs.verify_line_identities(n)
+    return outcomes
+
+
+def test_packed_zero_sum_against_dense_sum(monkeypatch):
+    outcomes = _zero_sums_against_dense(monkeypatch, 5)
+    assert len(outcomes) > 200 and all(outcomes)
+    # one row U({2,3,5}, 3) off by one in one coordinate
+    row = certs._u_row
+    bad = (0b10110, 3)
+
+    def corrupted(n, smask, d):
+        out = row(n, smask, d)
+        if (smask, d) == bad:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(certs, "_u_row", corrupted)
+    outcomes = _zero_sums_against_dense(monkeypatch, 5)
+    assert 0 < outcomes.count(False) < len(outcomes)
