@@ -11,15 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import permutations
+from itertools import permutations, repeat
 from math import factorial
+from operator import add
 
 from .arrangements import (Arrangement, check_dim_and_prime, derive_seed,
                            random_arrangement, rank_function)
 from .certificates import CERTIFICATES, run_certificates
 from .functionals import (Functional, PairingTable, basic_functionals,
-                          check_permutation, kinser, pair, permute_functional,
-                          permute_mask)
+                          check_permutation, kinser, pair, permute_functional)
 from .maps import UnionMap, pullback, pushforward
 from .setfunctions import (SetFunction, in_polymatroid_cone, is_connected,
                            is_integral, is_matroid)
@@ -104,6 +104,45 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _relabellings(f: Functional) -> list[tuple[tuple[tuple[int, int], ...],
+                                               tuple[int, ...]]]:
+    """The distinct relabelled copies of f, in ascending order of their terms.
+
+    Each copy is given by its sorted (mask, coefficient) terms and by the
+    images sigma (sigma[i-1] = image of i) of one relabelling that yields
+    it, so permute_functional(f, sigma) rebuilds it as a Functional; no
+    Functional is built here.  The relabellings are the permutations of
+    the n single-bit masks, and a term's image is the OR, here the sum, of
+    its elements' images, added up one term at a time across all the
+    relabellings.  A term (mask, c) is coded as mask * k + (rank of c among
+    f's k distinct coefficients).  The masks of one copy are distinct, so
+    the codes sort as the pairs do, and equal codes decode to one shared
+    pair.
+    """
+    n = f.n
+    terms = f.items()
+    if not terms:
+        return [((), tuple(range(1, n + 1)))]
+    values = sorted({c for _, c in terms})
+    k = len(values)
+    rank = {c: r for r, c in enumerate(values)}
+    # codes[i][s]: k times the image of element i + 1 under relabelling s
+    codes = [[x * k for x in column]
+             for column in zip(*permutations([1 << i for i in range(n)]))]
+    columns = []
+    for mask, c in terms:
+        column = repeat(rank[c])
+        for i in range(n):
+            if mask >> i & 1:
+                column = map(add, column, codes[i])
+        columns.append(list(column))
+    copies = dict(zip(map(tuple, map(sorted, zip(*columns))),
+                      permutations(range(1, n + 1))))
+    pairs = [(x // k, values[x % k]) for x in range(k << n)]
+    return [(tuple(map(pairs.__getitem__, key)), sigma)
+            for key, sigma in sorted(copies.items())]
+
+
 def cmd_random_test(args: argparse.Namespace) -> int:
     if args.n < 4:
         raise ValueError("n >= 4 required (the generator is undefined below 4)")
@@ -116,30 +155,32 @@ def cmd_random_test(args: argparse.Namespace) -> int:
     if args.dim > 64:
         raise ValueError(f"--dim <= 64 required, got {args.dim}: a trial "
                          "row-reduces up to d vectors of length d per subspace")
-    # Distinct relabelled term tuples, in f.items() order; one expression,
-    # so the tuples are freed before the trials start.
-    generator = kinser(args.n).items()
-    orbit = [Functional(args.n, dict(terms)) for terms in sorted(
-        {tuple(sorted((permute_mask(mask, sigma), c) for mask, c in generator))
-         for sigma in permutations(range(1, args.n + 1))})]
+    # The table holds the orbit's terms; a member's Functional is built
+    # from its relabelling only when a trial violates it.
+    generator = kinser(args.n)
+    orbit = _relabellings(generator)
+    sigmas = [sigma for _, sigma in orbit]
     basics = basic_functionals(args.n)
-    table = PairingTable(args.n, basics + orbit)
+    table = PairingTable(args.n, basics + [terms for terms, _ in orbit])
     violations = []
     for trial in range(args.trials):
         seed = derive_seed(args.seed, trial)
         V = random_arrangement(args.n, args.dim, args.prime, seed)
         P = rank_function(V)
         for i in table.negatives(P):
-            f = table.functionals[i]
+            if i < len(basics):
+                kind, f = "basic", basics[i]
+            else:
+                kind = "generator-orbit"
+                f = permute_functional(generator, sigmas[i - len(basics)])
             violations.append({
-                "trial": trial, "seed": seed,
-                "kind": "basic" if i < len(basics) else "generator-orbit",
+                "trial": trial, "seed": seed, "kind": kind,
                 "functional": f.to_json_obj(), "value": str(pair(f, P)),
                 "arrangement": V.to_json_obj(),
             })
     report = {"n": args.n, "trials": args.trials, "prime": args.prime,
               "dim": args.dim, "seed": args.seed,
-              "inequalities_checked": len(basics) + len(orbit),
+              "inequalities_checked": len(basics) + len(sigmas),
               "violations": violations}
     print(json.dumps(report, indent=2))
     return 1 if violations else 0

@@ -8,6 +8,7 @@ corresponding linear inequality, which "holds" when the pairing is >= 0.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from .linalg import RATIONAL, Scalar, normalize_scalar
@@ -164,26 +165,35 @@ class PairingTable:
     coefficient or value raises ValueError.
     """
 
-    __slots__ = ("n", "functionals", "_weight", "_tables")
+    __slots__ = ("n", "_family", "_weight", "_tables")
 
-    def __init__(self, n: int, functionals: Sequence[Functional]):
+    def __init__(self, n: int,
+                 family: Sequence[Functional | Sequence[tuple[int, int]]]):
+        """family[i] is f_i, as a Functional or as its (mask, coefficient) pairs."""
         SubsetRef(n, 0)
         self.n = n
-        self.functionals = list(functionals)
-        for f in self.functionals:
-            if f.n != n:
-                raise ValueError(f"ground-set mismatch: {f.n} vs {n}")
-            if not all(isinstance(c, int) for c in f._coeffs.values()):
+        self._family: list = []
+        self._weight = 0
+        for f in family:
+            if isinstance(f, Functional):
+                if f.n != n:
+                    raise ValueError(f"ground-set mismatch: {f.n} vs {n}")
+                f = f._coeffs.items()
+            masks, coeffs = zip(*f) if f else ((), ())
+            if masks and not (min(masks) > 0 and max(masks) >> n == 0):
+                raise ValueError(f"ground-set mismatch: a mask of {f!r} "
+                                 f"is not a nonempty subset of 1..{n}")
+            if not all(map(isinstance, coeffs, repeat(int))):
                 raise ValueError(f"packed pairing needs integer coefficients: {f!r}")
-        self._weight = max((sum(map(abs, f._coeffs.values()))
-                            for f in self.functionals), default=0)
+            self._weight = max(self._weight, sum(map(abs, coeffs)))
+            self._family.append(f)
         self._tables: dict[int, tuple[int, dict[int, int]]] = {}
 
     def _table(self, w: int) -> tuple[int, dict[int, int]]:
         """(Bias, col) at slot width w, built once per width."""
         table = self._tables.get(w)
         if table is None:
-            slots = len(self.functionals)
+            slots = len(self._family)
             bias = ((1 << slots * w) - 1) // ((1 << w) - 1) << (w - 1)
             table = self._tables[w] = (bias, self._pack(0, slots, w))
         return table
@@ -195,7 +205,7 @@ class PairingTable:
         O(size * log(slots)) rather than one full-size add per term.
         """
         if hi - lo <= 1:
-            return dict(self.functionals[lo]._coeffs) if hi > lo else {}
+            return dict(self._family[lo]) if hi > lo else {}
         mid = (lo + hi) // 2
         cols = self._pack(lo, mid, w)
         shift = (mid - lo) * w
@@ -212,11 +222,15 @@ class PairingTable:
             raise ValueError("packed pairing needs an integer-valued set function")
         w = (max(map(abs, vals)) * self._weight).bit_length() + 1
         bias, cols = self._table(w)
-        total = bias
+        # sum_A P(A) * col[A], with one multiplication per distinct value
+        by_value: dict[int, int] = {}
         for mask, col in cols.items():
             v = vals[mask]
             if v:
-                total += v * col
+                by_value[v] = by_value.get(v, 0) + col
+        total = bias
+        for v, col in by_value.items():
+            total += v * col
         missing = bias & ~total
         out = []
         while missing:

@@ -189,6 +189,24 @@ class Echelon:
     def contains(self, vec: Sequence[Scalar]) -> bool:
         return not any(self.reduce(vec))
 
+    def rref(self) -> "ExactMatrix":
+        """Reduced row echelon form of the row space, unit pivots.
+
+        The result is the canonical basis: two row spaces are equal iff
+        their rrefs are equal.  The pivot rows are back-substituted
+        bottom-up by inserting them, last pivot first, into a second
+        Echelon: each insertion clears the row at every later pivot.  Over
+        the rationals that stays fraction-free, and each row is divided by
+        its pivot only at the end.
+        """
+        back = Echelon(self.field, self.ncols)
+        back.extend(reversed(self.rows))
+        rows = back.rows
+        if self.field == RATIONAL:
+            rows = [row if row[pc] == 1 else [Fraction(x, row[pc]) for x in row]
+                    for pc, row in zip(back.pivots, rows)]
+        return ExactMatrix(self.field, rows, self.ncols)
+
 
 class ExactMatrix:
     """Immutable matrix over GF(p) or the rationals; rows span a subspace."""
@@ -231,24 +249,10 @@ class ExactMatrix:
         return ech.rank
 
     def rref(self) -> "ExactMatrix":
-        """Reduced row echelon form, unit pivots, zero rows dropped.
-
-        The result is the canonical basis of the row space: two matrices
-        have equal row spans iff their rrefs are equal.  The echelon rows
-        are back-substituted bottom-up by inserting them, last pivot first,
-        into a second Echelon: each insertion clears the row at every later
-        pivot.  Over the rationals that stays fraction-free, and each row
-        is divided by its pivot only at the end.
-        """
+        """Reduced row echelon form, zero rows dropped (see Echelon.rref)."""
         forward = Echelon(self.field, self.ncols)
         forward.extend(self.rows)
-        back = Echelon(self.field, self.ncols)
-        back.extend(reversed(forward.rows))
-        rows = back.rows
-        if self.field == RATIONAL:
-            rows = [row if row[pc] == 1 else [Fraction(x, row[pc]) for x in row]
-                    for pc, row in zip(back.pivots, rows)]
-        return ExactMatrix(self.field, rows, self.ncols)
+        return forward.rref()
 
     def row_space_contains(self, vec: Sequence[Scalar]) -> bool:
         ech = Echelon(self.field, self.ncols)

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rankineq.arrangements import (Arrangement, derive_seed, generic_lines,
                                    intersect, random_arrangement,
-                                   rank_function, sum_pullback, uniform_U)
-from rankineq.linalg import RATIONAL, ExactMatrix, rank_of
+                                   rank_function, sum_echelons, sum_pullback,
+                                   uniform_U)
+from rankineq.linalg import RATIONAL, Echelon, ExactMatrix, rank_of
 from rankineq.maps import UnionMap, identity_map, pullback
 from rankineq.setfunctions import is_polymatroid
 from rankineq.subsets import subset
@@ -59,15 +61,102 @@ def test_rank_function_matches_naive_stacking():
     saturated = 0
     for V in cases:
         P = rank_function(V)
-        for bits in range(1, 1 << V.n):
-            rows = []
-            for i in range(V.n):
-                if bits >> i & 1:
-                    rows.extend(V.subspaces[i].rows)
-            assert P.value_at(bits) == rank_of(ExactMatrix(V.field, rows, V.ambient_dim))
-            if V.n == 6:
-                saturated += P.value_at(bits & (bits - 1)) == V.ambient_dim
+        assert_naive_stacking(P, V.field, V.ambient_dim,
+                              [sub.rows for sub in V.subspaces])
+        if V.n == 6:
+            saturated += sum(P.value_at(bits & (bits - 1)) == V.ambient_dim
+                             for bits in range(1, 1 << V.n))
     assert saturated > 12 * 63 // 2
+
+
+def stacked(subspaces, bits):
+    return [row for i, rows in enumerate(subspaces) if bits >> i & 1
+            for row in rows]
+
+
+def assert_naive_stacking(P, field, d, subspaces):
+    """P(A) is the rank of the rows of the subspaces in A, stacked."""
+    for bits in range(1, 1 << len(subspaces)):
+        assert P.value_at(bits) == \
+            rank_of(ExactMatrix(field, stacked(subspaces, bits), d))
+
+
+@st.composite
+def spanning_sets(draw):
+    """(field, d, rows of each subspace): zero, full, repeated or random."""
+    field = draw(st.sampled_from([2, 3, 101, RATIONAL]))
+    d = draw(st.integers(1, 4))
+    entry = (st.integers(0, field - 1) if field else
+             st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4))
+    subs = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "full",
+                                     "repeat"]))
+        if kind == "zero":
+            rows = []
+        elif kind == "full":
+            rows = draw(st.permutations(ExactMatrix.identity(field, d).rows))
+        elif kind == "repeat" and subs:
+            rows = draw(st.sampled_from(subs))
+        else:
+            rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                 max_size=d))
+        subs.append(rows)
+    return field, d, subs
+
+
+# sizes 2, 0, 1 and 3, 1, 0, 2: the walk's order is not the caller's
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spanning_sets())
+@example((3, 2, [[[1, 2], [0, 1]], [], [[1, 1]]]))
+@example((RATIONAL, 3, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[Fraction(1, 2), 1, 0]],
+                        [], [[1, 2, 0], [0, 0, 3]]]))
+def test_rank_function_matches_naive_stacking_on_random_subspaces(case):
+    field, d, subs = case
+    P = rank_function(Arrangement(field, d, subs))
+    assert_naive_stacking(P, field, d, subs)
+    # each state of the walk spans exactly the stacked rows of its mask
+    states = sum_echelons(field, d, subs)
+    assert len(states) == 1 << len(subs)
+    for bits, state in enumerate(states):
+        rows = stacked(subs, bits)
+        assert state.rank == rank_of(ExactMatrix(field, rows, d))
+        assert all(state.contains(row) for row in rows)
+
+
+def test_walk_peels_the_smallest_subspace(monkeypatch):
+    # V_1 is the whole space and V_2..V_6 are zero: only the subset {1}
+    # inserts rows, and every other subset shares its parent's echelon
+    d = 4
+    V = Arrangement(101, d, [ExactMatrix.identity(101, d)] + [[]] * 5)
+    add, calls = Echelon.add, []
+
+    def counted(self, vec):
+        calls.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    P = rank_function(V)
+    assert len(calls) == d
+    assert P.values_by_mask() == tuple(d if bits & 1 else 0 for bits in range(64))
+
+
+def test_random_arrangement_defers_its_canonical_form(monkeypatch):
+    def no_rref(self):
+        raise AssertionError("canonical form built before it was observed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Echelon, "rref", no_rref)
+        patch.setattr(ExactMatrix, "rref", no_rref)
+        V = random_arrangement(5, 4, 7, seed=derive_seed(29, 0))
+        P = rank_function(V)
+        assert V.n == 5 and repr(V) == "Arrangement(5 subspaces in GF(7)^4)"
+    subs = V.subspaces
+    assert V.subspaces is subs  # built once
+    assert all(sub.rref() == sub for sub in subs)
+    same = Arrangement(7, 4, [sub.rows for sub in subs])
+    assert same == V and hash(same) == hash(V) and same.dumps() == V.dumps()
+    assert rank_function(same) == P
 
 
 def test_intersect_examples():
@@ -187,6 +276,8 @@ def test_arrangement_validation():
         Arrangement(5, 2, [[[1, 2, 3]]])  # row too wide
     with pytest.raises(ValueError, match="prime"):
         Arrangement(6, 2, [[[1, 0]]])
+    with pytest.raises(ValueError, match="bad ambient dimension True"):
+        Arrangement(2, True, [[[1]]])
 
 
 def test_json_round_trip():

@@ -1,15 +1,17 @@
 """Command-line interface: exit codes, JSON output, round-trips."""
 
 import json
+from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from rankineq.arrangements import derive_seed, random_arrangement, rank_function
 from rankineq.certificates import CERTIFICATES, witness_T
-from rankineq.cli import main
+from rankineq.cli import _relabellings, main
 from rankineq.functionals import (Functional, basic_functionals, kinser, pair,
-                                  permute_functional)
+                                  permute_functional, permute_mask)
 from rankineq.maps import UnionMap, hierarchy_map
 from rankineq.setfunctions import SetFunction
 
@@ -303,6 +305,34 @@ def test_random_test_reports_what_plain_pairing_finds(capsys, monkeypatch):
     assert report["violations"] == expected
     assert any(v["value"] == str(-4 * dim) for v in expected)
     assert report["inequalities_checked"] == len(basics) + len(orbit)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_orbit_from_bit_permutations_matches_permute_mask(n):
+    generator = kinser(n)
+    terms = generator.items()
+    want = sorted({tuple(sorted((permute_mask(mask, sigma), c) for mask, c in terms))
+                   for sigma in permutations(range(1, n + 1))})
+    orbit = _relabellings(generator)
+    assert [copy for copy, _ in orbit] == want
+    assert len(orbit) == (6 if n == 4 else factorial(n) // 2)
+    for copy, sigma in orbit:
+        assert permute_functional(generator, sigma).items() == list(copy)
+
+
+@pytest.mark.parametrize("n,coeffs", [
+    (4, {1: 3, 6: -2, 7: Fraction(1, 2), 12: 1}),
+    (5, {3: -1, 4: 5, 17: -1, 31: 2}),
+    (4, {}),
+])
+def test_orbit_of_other_functionals(n, coeffs):
+    f = Functional(n, coeffs)
+    orbit = _relabellings(f)
+    want = sorted({permute_functional(f, sigma)
+                   for sigma in permutations(range(1, n + 1))},
+                  key=lambda g: g.items())
+    assert [list(copy) for copy, _ in orbit] == [g.items() for g in want]
+    assert [permute_functional(f, sigma) for _, sigma in orbit] == want
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankineq.arrangements import (derive_seed, random_arrangement,
                                    rank_function, uniform_U)
@@ -215,3 +216,36 @@ def test_pairing_table_rejects_non_integers():
     with pytest.raises(ValueError, match="ground-set mismatch"):
         table.negatives(SetFunction.zero(5))
     assert table.negatives(SetFunction.zero(4)) == []
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.dictionaries(st.integers(1, 2 ** n - 1),
+                             st.integers(-4, 4).filter(bool), max_size=6),
+             max_size=8),
+    st.lists(st.integers(0, 12).flatmap(lambda M: st.lists(
+        st.integers(-M, M), min_size=2 ** n - 1, max_size=2 ** n - 1)),
+        min_size=1, max_size=3))))
+def test_pairing_table_agrees_with_pair_on_random_families(case):
+    # signed families with repeats; points with negative and repeated values
+    n, family, points = case
+    functionals = [Functional(n, coeffs) for coeffs in family]
+    table = PairingTable(n, functionals)
+    as_pairs = PairingTable(n, [tuple(f.items()) for f in functionals])
+    for values in points:
+        P = SetFunction(n, [0] + values)
+        want = [i for i, f in enumerate(functionals) if pair(f, P) < 0]
+        assert table.negatives(P) == want
+        assert as_pairs.negatives(P) == want
+
+
+def test_pairing_table_checks_pairs():
+    with pytest.raises(ValueError, match="ground-set mismatch"):
+        PairingTable(3, [((8, 1),)])
+    with pytest.raises(ValueError, match="ground-set mismatch"):
+        PairingTable(3, [((0, 1),)])
+    with pytest.raises(ValueError, match="integer coefficients"):
+        PairingTable(3, [((1, Fraction(1, 2)),)])
+    assert PairingTable(3, [(), ((1, -1),)]).negatives(
+        SetFunction(3, [0, 1, 0, 0, 0, 0, 0, 0])) == [1]
