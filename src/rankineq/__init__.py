@@ -8,12 +8,12 @@ structural facts tying them together.
 """
 
 from .subsets import SubsetRef, subset, mobius, all_subsets, nonempty_subsets
-from .linalg import RATIONAL, Echelon, ExactMatrix, rank_of, intersect_row_spaces
+from .linalg import RATIONAL, Echelon, ExactMatrix, intersect_row_spaces
 from .setfunctions import (SetFunction, is_integral, in_polymatroid_cone,
                            is_polymatroid, is_matroid, is_connected)
 from .functionals import (Functional, pair, kinser, basic_functionals,
                           permute_functional)
-from .maps import (UnionMap, apply_map, pullback, pushforward, hierarchy_map,
+from .maps import (UnionMap, pullback, pushforward, hierarchy_map,
                    identity_map, compose)
 from .arrangements import (Arrangement, rank_function, intersect, sum_pullback,
                            generic_lines, uniform_U, random_arrangement,
@@ -27,11 +27,11 @@ from .certificates import (CertificateReport, witness_T,
 
 __all__ = [
     "SubsetRef", "subset", "mobius", "all_subsets", "nonempty_subsets",
-    "RATIONAL", "Echelon", "ExactMatrix", "rank_of", "intersect_row_spaces",
+    "RATIONAL", "Echelon", "ExactMatrix", "intersect_row_spaces",
     "SetFunction", "is_integral", "in_polymatroid_cone", "is_polymatroid",
     "is_matroid", "is_connected",
     "Functional", "pair", "kinser", "basic_functionals", "permute_functional",
-    "UnionMap", "apply_map", "pullback", "pushforward", "hierarchy_map",
+    "UnionMap", "pullback", "pushforward", "hierarchy_map",
     "identity_map", "compose",
     "Arrangement", "rank_function", "intersect", "sum_pullback",
     "generic_lines", "uniform_U", "random_arrangement", "derive_seed",

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arrangements import sum_echelons
 from .functionals import kinser
@@ -24,14 +23,13 @@ from .setfunctions import SetFunction
 from .subsets import SubsetRef, mobius
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Pass/fail record of one check, with exact-arithmetic witnesses."""
 
     check: str
     n: int
     outcome: str  # "pass" | "fail"
-    details: tuple[str, ...] = field(default_factory=tuple)
+    details: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -29,7 +29,8 @@ def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: the input is nested too deeply to decode
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
 
 
@@ -155,13 +156,15 @@ def cmd_random_test(args: argparse.Namespace) -> int:
     if args.dim > 64:
         raise ValueError(f"--dim <= 64 required, got {args.dim}: a trial "
                          "row-reduces up to d vectors of length d per subspace")
-    # The table holds the orbit's terms; a member's Functional is built
-    # from its relabelling only when a trial violates it.
+    # Only the relabellings outlive the packing: a member's Functional is
+    # built when a trial violates it.  Ranks in GF(p)^d are at most d.
     generator = kinser(args.n)
-    orbit = _relabellings(generator)
-    sigmas = [sigma for _, sigma in orbit]
     basics = basic_functionals(args.n)
-    table = PairingTable(args.n, basics + [terms for terms, _ in orbit])
+    orbit = _relabellings(generator)
+    table = PairingTable(args.n, [f.items() for f in basics]
+                         + [terms for terms, _ in orbit], bound=args.dim)
+    sigmas = [sigma for _, sigma in orbit]
+    del orbit
     violations = []
     for trial in range(args.trials):
         seed = derive_seed(args.seed, trial)

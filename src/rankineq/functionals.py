@@ -56,9 +56,6 @@ class Functional:
         """(mask, coefficient) pairs in ascending mask order."""
         return sorted(self._coeffs.items())
 
-    def support(self) -> list[SubsetRef]:
-        return [SubsetRef(self.n, m) for m, _ in self.items()]
-
     def __len__(self) -> int:
         return len(self._coeffs)
 
@@ -150,10 +147,12 @@ class PairingTable:
     """The signs of <f_i, P> for a whole family of integral functionals.
 
     The table packs the family into one Python int per mask A,
-    col[A] = sum_i c_i(A) * 2^(i*w), one w-bit slot per functional.  For an
-    integer-valued P (a rank function, say) let M = max |P(A)| and W = max_i sum_A |c_i(A)|; then
-    every |<f_i, P>| <= M*W.  With w = bitlen(M*W) + 1 and B = 2^(w-1) > M*W,
-    each <f_i, P> + B lies in [0, 2^w), so
+    col[A] = sum_i c_i(A) * 2^(i*w), one w-bit slot per functional.  The
+    caller bounds the values: every |P(A)| <= M, the table's bound (d for
+    the rank function of subspaces of a d-dimensional space).  With
+    W = max_i sum_A |c_i(A)|, every |<f_i, P>| <= M*W.  With
+    w = bitlen(M*W) + 1 and B = 2^(w-1) > M*W, each <f_i, P> + B lies in
+    [0, 2^w), so
 
         T = Bias + sum_A P(A) * col[A],   Bias = sum_i B * 2^(i*w),
 
@@ -162,56 +161,31 @@ class PairingTable:
     the top bit of slot i is 0, so T & Bias == Bias proves that no
     functional is violated, and otherwise the bits of Bias & ~T name the
     violated slots.  All arithmetic is on integers; a non-integer
-    coefficient or value raises ValueError.
+    coefficient or value, or a value above the bound, raises ValueError.
     """
 
-    __slots__ = ("n", "_family", "_weight", "_tables")
+    __slots__ = ("n", "bound", "_width", "_bias", "_cols")
 
-    def __init__(self, n: int,
-                 family: Sequence[Functional | Sequence[tuple[int, int]]]):
-        """family[i] is f_i, as a Functional or as its (mask, coefficient) pairs."""
+    def __init__(self, n: int, family: Sequence[Sequence[tuple[int, int]]],
+                 bound: int):
+        """family[i] is f_i's (mask, coefficient) terms; bound caps every |P(A)|."""
         SubsetRef(n, 0)
-        self.n = n
-        self._family: list = []
-        self._weight = 0
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+            raise ValueError(f"bound must be a nonnegative integer, got {bound!r}")
+        weight = 0
         for f in family:
-            if isinstance(f, Functional):
-                if f.n != n:
-                    raise ValueError(f"ground-set mismatch: {f.n} vs {n}")
-                f = f._coeffs.items()
             masks, coeffs = zip(*f) if f else ((), ())
             if masks and not (min(masks) > 0 and max(masks) >> n == 0):
                 raise ValueError(f"ground-set mismatch: a mask of {f!r} "
                                  f"is not a nonempty subset of 1..{n}")
             if not all(map(isinstance, coeffs, repeat(int))):
                 raise ValueError(f"packed pairing needs integer coefficients: {f!r}")
-            self._weight = max(self._weight, sum(map(abs, coeffs)))
-            self._family.append(f)
-        self._tables: dict[int, tuple[int, dict[int, int]]] = {}
-
-    def _table(self, w: int) -> tuple[int, dict[int, int]]:
-        """(Bias, col) at slot width w, built once per width."""
-        table = self._tables.get(w)
-        if table is None:
-            slots = len(self._family)
-            bias = ((1 << slots * w) - 1) // ((1 << w) - 1) << (w - 1)
-            table = self._tables[w] = (bias, self._pack(0, slots, w))
-        return table
-
-    def _pack(self, lo: int, hi: int, w: int) -> dict[int, int]:
-        """col[A] over slots lo..hi-1, slot lo at bit 0.
-
-        Halves are packed separately and merged, so each column costs
-        O(size * log(slots)) rather than one full-size add per term.
-        """
-        if hi - lo <= 1:
-            return dict(self._family[lo]) if hi > lo else {}
-        mid = (lo + hi) // 2
-        cols = self._pack(lo, mid, w)
-        shift = (mid - lo) * w
-        for mask, col in self._pack(mid, hi, w).items():
-            cols[mask] = cols.get(mask, 0) + (col << shift)
-        return cols
+            weight = max(weight, sum(map(abs, coeffs)))
+        self.n = n
+        self.bound = bound
+        self._width = w = (bound * weight).bit_length() + 1
+        self._bias = ((1 << len(family) * w) - 1) // ((1 << w) - 1) << (w - 1)
+        self._cols = _pack(family, 0, len(family), w)
 
     def negatives(self, P: SetFunction) -> list[int]:
         """Ascending indices i with <f_i, P> < 0."""
@@ -220,24 +194,40 @@ class PairingTable:
         vals = P.values_by_mask()
         if not all(isinstance(v, int) for v in vals):
             raise ValueError("packed pairing needs an integer-valued set function")
-        w = (max(map(abs, vals)) * self._weight).bit_length() + 1
-        bias, cols = self._table(w)
+        if max(map(abs, vals)) > self.bound:
+            raise ValueError(f"a value of P exceeds the table's bound {self.bound}")
         # sum_A P(A) * col[A], with one multiplication per distinct value
         by_value: dict[int, int] = {}
-        for mask, col in cols.items():
+        for mask, col in self._cols.items():
             v = vals[mask]
             if v:
                 by_value[v] = by_value.get(v, 0) + col
-        total = bias
+        bias = total = self._bias
         for v, col in by_value.items():
             total += v * col
         missing = bias & ~total
         out = []
         while missing:
             low = missing & -missing
-            out.append(low.bit_length() // w - 1)
+            out.append(low.bit_length() // self._width - 1)
             missing ^= low
         return out
+
+
+def _pack(family: Sequence, lo: int, hi: int, w: int) -> dict[int, int]:
+    """col[A] over slots lo..hi-1 at slot width w, slot lo at bit 0.
+
+    Halves are packed separately and merged, so each column costs
+    O(size * log(slots)) rather than one full-size add per term.
+    """
+    if hi - lo <= 1:
+        return dict(family[lo]) if hi > lo else {}
+    mid = (lo + hi) // 2
+    cols = _pack(family, lo, mid, w)
+    shift = (mid - lo) * w
+    for mask, col in _pack(family, mid, hi, w).items():
+        cols[mask] = cols.get(mask, 0) + (col << shift)
+    return cols
 
 
 def kinser(n: int) -> Functional:

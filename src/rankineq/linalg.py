@@ -234,10 +234,6 @@ class ExactMatrix:
     def identity(cls, field: int, k: int) -> "ExactMatrix":
         return cls(field, [[1 if i == j else 0 for j in range(k)] for i in range(k)], k)
 
-    @classmethod
-    def zero_rows(cls, field: int, ncols: int) -> "ExactMatrix":
-        return cls(field, [], ncols)
-
     def stack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.field != other.field or self.ncols != other.ncols:
             raise ValueError("stack: field or column mismatch")
@@ -254,11 +250,6 @@ class ExactMatrix:
         forward.extend(self.rows)
         return forward.rref()
 
-    def row_space_contains(self, vec: Sequence[Scalar]) -> bool:
-        ech = Echelon(self.field, self.ncols)
-        ech.extend(self.rows)
-        return ech.contains([normalize_scalar(x, self.field) for x in vec])
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ExactMatrix) and self.field == other.field
                 and self.ncols == other.ncols and self.rows == other.rows)
@@ -269,11 +260,6 @@ class ExactMatrix:
     def __repr__(self) -> str:
         name = "QQ" if self.field == RATIONAL else f"GF({self.field})"
         return f"ExactMatrix({name}, {self.nrows}x{self.ncols})"
-
-
-def rank_of(M: ExactMatrix) -> int:
-    """Row rank via exact elimination (fraction-free over the rationals)."""
-    return M.rank()
 
 
 def intersect_row_spaces(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:

@@ -118,10 +118,6 @@ class UnionMap:
         return cls.from_json_obj(json.loads(text))
 
 
-def apply_map(phi: UnionMap, A: SubsetRef) -> SubsetRef:
-    return phi.apply(A)
-
-
 def identity_map(n: int) -> UnionMap:
     return UnionMap(n, n, [[i] for i in range(1, n + 1)])
 

@@ -175,14 +175,14 @@ def is_integral(P: SetFunction) -> bool:
     return all(isinstance(v, int) for v in P.values_by_mask())
 
 
-def in_polymatroid_cone(P: SetFunction, mode: str = "local") -> bool:
+def in_polymatroid_cone(P: SetFunction) -> bool:
     """Whether P satisfies the basic inequalities (nonneg + monotone + submodular).
 
     Rational values are allowed: this is membership in the closed cone cut
     out by the basic inequalities, of which polymatroids are the integer
-    points.  mode "full" checks submodularity on all pairs (A, B); "local"
-    checks the equivalent exchange form on covers, which is quadratically
-    cheaper and is the default for randomized sweeps.
+    points.  Submodularity is checked in its exchange form on covers,
+    P(A+i) + P(A+j) >= P(A+ij) + P(A), which is equivalent to the all-pairs
+    form and quadratically cheaper.
     """
     n, vals = P.n, P.values_by_mask()
     full_mask = (1 << n) - 1
@@ -193,37 +193,28 @@ def in_polymatroid_cone(P: SetFunction, mode: str = "local") -> bool:
             bit = 1 << i
             if not a & bit and vals[a | bit] < va:
                 return False
-    if mode == "local":
-        for a in range(full_mask + 1):
-            free = full_mask & ~a
-            i = free
-            while i:
-                bi = i & -i
-                j = i ^ bi
-                while j:
-                    bj = j & -j
-                    if vals[a | bi] + vals[a | bj] < vals[a | bi | bj] + vals[a]:
-                        return False
-                    j ^= bj
-                i ^= bi
-        return True
-    if mode == "full":
-        for a in range(full_mask + 1):
-            va = vals[a]
-            for b in range(a, full_mask + 1):
-                if vals[a | b] + vals[a & b] > va + vals[b]:
+    for a in range(full_mask + 1):
+        free = full_mask & ~a
+        i = free
+        while i:
+            bi = i & -i
+            j = i ^ bi
+            while j:
+                bj = j & -j
+                if vals[a | bi] + vals[a | bj] < vals[a | bi | bj] + vals[a]:
                     return False
-        return True
-    raise ValueError(f'mode must be "full" or "local", got {mode!r}')
+                j ^= bj
+            i ^= bi
+    return True
 
 
-def is_polymatroid(P: SetFunction, mode: str = "local") -> bool:
+def is_polymatroid(P: SetFunction) -> bool:
     """Integer-valued and satisfies the basic inequalities.
 
     Non-integral set functions report False here even when they satisfy the
     inequalities; use in_polymatroid_cone for the cone-membership question.
     """
-    return is_integral(P) and in_polymatroid_cone(P, mode)
+    return is_integral(P) and in_polymatroid_cone(P)
 
 
 def is_matroid(P: SetFunction) -> bool:

@@ -7,9 +7,13 @@ top of it are deterministic.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
 MAX_GROUND_SET = 20
+
+# Integers as str() writes them; int() also takes " 1", "+1", "01", "1_0", "\u0661".
+_CANONICAL_KEY = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*").fullmatch
 
 
 class SubsetRef:
@@ -33,7 +37,7 @@ class SubsetRef:
     def from_elements(cls, n: int, elements: Iterable[int]) -> "SubsetRef":
         bits = 0
         for e in elements:
-            if not isinstance(e, int) or not 1 <= e <= n:
+            if type(e) is not int or not 1 <= e <= n:  # no bools
                 raise ValueError(f"element out of range: {e!r} not in 1..{n}")
             bits |= 1 << (e - 1)
         return cls(n, bits)
@@ -120,12 +124,10 @@ def format_subset(S: SubsetRef) -> str:
 
 
 def parse_subset(n: int, text: str) -> SubsetRef:
-    """Parse the text form; rejects non-canonical (unordered/duplicate) keys."""
-    parts = text.split(",")
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"malformed subset key {text!r}") from None
+    """Parse the text form; accepts only keys spelled as format_subset writes them."""
+    if _CANONICAL_KEY(text) is None:
+        raise ValueError(f"malformed subset key {text!r}")
+    values = [int(p) for p in text.split(",")]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"subset key not strictly increasing: {text!r}")
     return SubsetRef.from_elements(n, values)

@@ -1,0 +1,35 @@
+"""Reference forms of the library's checks, kept as test oracles.
+
+Each one is the direct definition that a faster path in ``rankineq``
+replaces; tests compare the two.
+"""
+
+from rankineq.setfunctions import SetFunction, is_integral
+
+
+def in_polymatroid_cone_all_pairs(P: SetFunction) -> bool:
+    """The basic inequalities, with submodularity on all pairs (A, B).
+
+    The reference for ``in_polymatroid_cone``, which checks the equivalent
+    exchange form on covers.
+    """
+    n, vals = P.n, P.values_by_mask()
+    full_mask = (1 << n) - 1
+    # monotone + nonnegative via covers (value on empty set is 0)
+    for a in range(full_mask + 1):
+        va = vals[a]
+        for i in range(n):
+            bit = 1 << i
+            if not a & bit and vals[a | bit] < va:
+                return False
+    for a in range(full_mask + 1):
+        va = vals[a]
+        for b in range(a, full_mask + 1):
+            if vals[a | b] + vals[a & b] > va + vals[b]:
+                return False
+    return True
+
+
+def is_polymatroid_all_pairs(P: SetFunction) -> bool:
+    """The reference for ``is_polymatroid``: integral and in the cone."""
+    return is_integral(P) and in_polymatroid_cone_all_pairs(P)

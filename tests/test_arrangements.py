@@ -10,10 +10,11 @@ from rankineq.arrangements import (Arrangement, derive_seed, generic_lines,
                                    intersect, random_arrangement,
                                    rank_function, sum_echelons, sum_pullback,
                                    uniform_U)
-from rankineq.linalg import RATIONAL, Echelon, ExactMatrix, rank_of
+from rankineq.linalg import RATIONAL, Echelon, ExactMatrix
 from rankineq.maps import UnionMap, identity_map, pullback
-from rankineq.setfunctions import is_polymatroid
 from rankineq.subsets import subset
+
+from oracles import is_polymatroid_all_pairs
 
 
 def test_rank_function_independent_lines():
@@ -43,7 +44,7 @@ def test_rank_function_empty_subspace_and_rationals():
 def test_rank_function_is_polymatroid(trial):
     p = (2, 3, 101)[trial % 3]
     V = random_arrangement(5, 4, p, seed=derive_seed(11, trial))
-    assert is_polymatroid(rank_function(V), "full")
+    assert is_polymatroid_all_pairs(rank_function(V))
 
 
 def test_rank_function_matches_naive_stacking():
@@ -78,7 +79,7 @@ def assert_naive_stacking(P, field, d, subspaces):
     """P(A) is the rank of the rows of the subspaces in A, stacked."""
     for bits in range(1, 1 << len(subspaces)):
         assert P.value_at(bits) == \
-            rank_of(ExactMatrix(field, stacked(subspaces, bits), d))
+            ExactMatrix(field, stacked(subspaces, bits), d).rank()
 
 
 @st.composite
@@ -120,7 +121,7 @@ def test_rank_function_matches_naive_stacking_on_random_subspaces(case):
     assert len(states) == 1 << len(subs)
     for bits, state in enumerate(states):
         rows = stacked(subs, bits)
-        assert state.rank == rank_of(ExactMatrix(field, rows, d))
+        assert state.rank == ExactMatrix(field, rows, d).rank()
         assert all(state.contains(row) for row in rows)
 
 
@@ -179,7 +180,7 @@ def test_intersect_dimension_oracle():
         both = intersect(V, subset(2, [1, 2]))
         stacked = V.subspaces[0].stack(V.subspaces[1])
         assert both.nrows == (V.subspaces[0].nrows + V.subspaces[1].nrows
-                              - rank_of(stacked))
+                              - stacked.rank())
 
 
 def test_sum_pullback_identity_and_empty():
@@ -210,7 +211,7 @@ def test_uniform_U_examples():
     assert U.value(subset(4, [1, 2, 3])) == 2
     assert U.value(subset(4, [4])) == 0
     assert U.value(subset(4, [1, 4])) == 1
-    assert is_polymatroid(U, "full")
+    assert is_polymatroid_all_pairs(U)
 
 
 def test_uniform_U_splits_into_lines_when_d_large():

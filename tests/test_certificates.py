@@ -16,8 +16,10 @@ from rankineq.certificates import (basis_alpha, facet_rank,
 from rankineq.functionals import Functional, kinser, pair
 from rankineq.linalg import Echelon
 from rankineq.maps import UnionMap
-from rankineq.setfunctions import SetFunction, is_matroid, is_polymatroid
+from rankineq.setfunctions import SetFunction, is_matroid
 from rankineq.subsets import SubsetRef, mobius, subset
+
+from oracles import is_polymatroid_all_pairs
 
 
 def test_witness_values_at_4():
@@ -51,7 +53,7 @@ def test_witness_values_at_6():
 @pytest.mark.parametrize("n", range(4, 11))
 def test_witness_is_polymatroid_but_not_matroid(n):
     T = witness_T(n)
-    assert is_polymatroid(T, "full")
+    assert is_polymatroid_all_pairs(T)
     assert not is_matroid(T)  # T({2}) = 2
     assert pair(kinser(n), T) == -1
 

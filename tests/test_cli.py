@@ -142,6 +142,47 @@ def test_malformed_json_is_usage_error(files, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [1_000, 200_000])
+@pytest.mark.parametrize("bracket", ["[", '{"n": '])
+def test_deeply_nested_json_is_usage_error(files, capsys, bracket, depth):
+    deep = files("deep.json", bracket * depth)
+    assert main(["check", deep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("key", ["01,2", " 1,2", "+1,2", "1,2 ", "\u0661,2",
+                                 "1, 2", "1_0"])
+def test_non_canonical_subset_key_is_rejected(files, capsys, key):
+    # each spelling reads as {1,2} or {10} under int(), which once let
+    # '{"1,2": "1", "01,2": "-1"}' load as -1*{1,2} with a term dropped
+    functional = {"n": 3, "coeffs": {"1,2": "1", key: "-1"}}
+    point = {"n": 2, "values": {"1": 1, "2": 1, key: 2}}
+    with pytest.raises(ValueError, match="malformed subset key"):
+        Functional.loads(json.dumps(functional))
+    with pytest.raises(ValueError, match="malformed subset key"):
+        SetFunction.loads(json.dumps(point))
+    f, p = files("f.json", functional), files("p.json", point)
+    zero = files("zero.json", SetFunction.zero(3).to_json_obj())
+    for argv in (["eval", "--functional", f, "--point", zero], ["check", p]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "malformed subset key" in err and err.count("\n") == 1
+
+
+def test_bool_map_image_is_rejected(files, capsys):
+    bad = {"k": 1, "n": 2, "images": [[True]]}
+    with pytest.raises(ValueError, match="out of range: True"):
+        UnionMap.loads(json.dumps(bad))
+    m = files("m.json", bad)
+    p = files("p.json", SetFunction.zero(2).to_json_obj())
+    assert main(["pullback", "--map", m, "--input", p]) == 2
+    err = capsys.readouterr().err
+    assert "out of range: True" in err and err.count("\n") == 1
+    assert UnionMap.loads('{"k": 1, "n": 2, "images": [[1]]}').images == (1,)
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/x.json"]) == 2
 

@@ -188,7 +188,8 @@ def test_pairing_table_flags_exactly_the_negative_pairings():
     W = max(sum(abs(c) for _, c in f.items()) for f in family)
     low, high = len(family), len(family) + 1
     family += [Functional(n, {full: -W}), Functional(n, {full: W})]
-    table = PairingTable(n, family)
+    terms = [f.items() for f in family]
+    wide = PairingTable(n, terms, bound=12)
     points = [rank_function(random_arrangement(n, d, p, derive_seed(41, trial)))
               for trial, (d, p) in enumerate([(1, 3), (2, 101), (3, 2), (3, 101),
                                               (4, 7), (5, 101), (6, 3)])]
@@ -197,8 +198,9 @@ def test_pairing_table_flags_exactly_the_negative_pairings():
                for M in (1, 3, 7, 12)]
     for P in points:
         want = [i for i, f in enumerate(family) if pair(f, P) < 0]
-        assert want and table.negatives(P) == want
         M = max(abs(v) for v in P.values_by_mask())
+        assert want and PairingTable(n, terms, bound=M).negatives(P) == want
+        assert wide.negatives(P) == want
         if P.value_at(full) == M:  # edge slots: pairings of exactly -M*W, +M*W
             assert pair(family[low], P) == -M * W and low in want
             assert pair(family[high], P) == M * W and high not in want
@@ -206,10 +208,10 @@ def test_pairing_table_flags_exactly_the_negative_pairings():
 
 def test_pairing_table_rejects_non_integers():
     with pytest.raises(ValueError, match="integer coefficients"):
-        PairingTable(4, [Functional(4, {1: Fraction(1, 2)})])
+        PairingTable(4, [Functional(4, {1: Fraction(1, 2)}).items()], 1)
     with pytest.raises(ValueError, match="ground-set mismatch"):
-        PairingTable(4, [kinser(5)])
-    table = PairingTable(4, [kinser(4)])
+        PairingTable(4, [kinser(5).items()], 1)
+    table = PairingTable(4, [kinser(4).items()], 1)
     half = SetFunction(4, [0] + [Fraction(1, 2)] * 15)
     with pytest.raises(ValueError, match="integer-valued"):
         table.negatives(half)
@@ -228,24 +230,44 @@ def test_pairing_table_rejects_non_integers():
         st.integers(-M, M), min_size=2 ** n - 1, max_size=2 ** n - 1)),
         min_size=1, max_size=3))))
 def test_pairing_table_agrees_with_pair_on_random_families(case):
-    # signed families with repeats; points with negative and repeated values
+    # signed families with repeats; points with negative and repeated
+    # values, under the tightest bound and under a loose one
     n, family, points = case
     functionals = [Functional(n, coeffs) for coeffs in family]
-    table = PairingTable(n, functionals)
-    as_pairs = PairingTable(n, [tuple(f.items()) for f in functionals])
+    terms = [f.items() for f in functionals]
+    table = PairingTable(n, terms, max(max(map(abs, v)) for v in points))
+    wide = PairingTable(n, [tuple(t) for t in terms], 12)
     for values in points:
         P = SetFunction(n, [0] + values)
         want = [i for i, f in enumerate(functionals) if pair(f, P) < 0]
         assert table.negatives(P) == want
-        assert as_pairs.negatives(P) == want
+        assert wide.negatives(P) == want
 
 
 def test_pairing_table_checks_pairs():
     with pytest.raises(ValueError, match="ground-set mismatch"):
-        PairingTable(3, [((8, 1),)])
+        PairingTable(3, [((8, 1),)], 1)
     with pytest.raises(ValueError, match="ground-set mismatch"):
-        PairingTable(3, [((0, 1),)])
+        PairingTable(3, [((0, 1),)], 1)
     with pytest.raises(ValueError, match="integer coefficients"):
-        PairingTable(3, [((1, Fraction(1, 2)),)])
-    assert PairingTable(3, [(), ((1, -1),)]).negatives(
+        PairingTable(3, [((1, Fraction(1, 2)),)], 1)
+    assert PairingTable(3, [(), ((1, -1),)], 1).negatives(
         SetFunction(3, [0, 1, 0, 0, 0, 0, 0, 0])) == [1]
+
+
+def test_pairing_table_checks_its_bound():
+    table = PairingTable(4, [kinser(4).items()], 2)
+    assert table.bound == 2
+    assert table.negatives(uniform_U(4, subset(4, [1, 2, 3, 4]), 2)) == []
+    for values in ([3] * 15, [0] * 14 + [3], [-3] + [0] * 14):
+        with pytest.raises(ValueError, match="exceeds the table's bound 2"):
+            table.negatives(SetFunction(4, [0] + values))
+    # a value of -2 is within the bound: only |P(A)| is capped
+    assert table.negatives(SetFunction(4, [0] * 15 + [-2])) == []
+    for bad in (True, False, -1, 1.0, "2", None):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            PairingTable(4, [kinser(4).items()], bad)
+    zero = PairingTable(4, [kinser(4).items(), ((15, -1),)], 0)
+    assert zero.negatives(SetFunction.zero(4)) == []
+    with pytest.raises(ValueError, match="exceeds"):
+        zero.negatives(SetFunction(4, [0] * 15 + [1]))

@@ -12,6 +12,8 @@ from rankineq.setfunctions import (SetFunction, in_polymatroid_cone,
                                    is_polymatroid)
 from rankineq.subsets import subset
 
+from oracles import in_polymatroid_cone_all_pairs, is_polymatroid_all_pairs
+
 
 def table(n, assignments):
     return SetFunction.from_values(
@@ -52,8 +54,8 @@ def test_vector_arithmetic():
 
 def test_monotonicity_violation_detected():
     P = table(2, {(1,): 2, (2,): 1, (1, 2): 1})
-    assert not is_polymatroid(P, "full")
-    assert not is_polymatroid(P, "local")
+    assert not is_polymatroid_all_pairs(P)
+    assert not is_polymatroid(P)
 
 
 def test_uniform_like_table_is_polymatroid():
@@ -63,14 +65,14 @@ def test_uniform_like_table_is_polymatroid():
         members = [i for i in range(1, 5) if bits >> (i - 1) & 1]
         vals[tuple(members)] = min(2, len([i for i in members if i <= 3]))
     P = SetFunction.from_values(4, vals)
-    assert is_polymatroid(P, "full")
-    assert is_polymatroid(P, "local")
+    assert is_polymatroid_all_pairs(P)
+    assert is_polymatroid(P)
 
 
 def test_non_integral_cone_point_reported_separately():
     P = table(1, {(1,): Fraction(1, 2)})
     assert not is_integral(P)
-    assert in_polymatroid_cone(P, "full")
+    assert in_polymatroid_cone_all_pairs(P)
     assert not is_polymatroid(P)
 
 
@@ -78,7 +80,7 @@ def test_matroid_examples():
     U12_1 = table(2, {(1,): 1, (2,): 1, (1, 2): 1})
     assert is_matroid(U12_1)
     doubled = 2 * table(2, {(1,): 1, (2,): 1, (1, 2): 2})
-    assert is_polymatroid(doubled, "full")
+    assert is_polymatroid_all_pairs(doubled)
     assert not is_matroid(doubled)  # singleton rank 2
 
 
@@ -102,8 +104,8 @@ def test_local_equals_full_exhaustively_small():
         size = 2 ** n - 1
         for values in product(range(4), repeat=size):
             P = SetFunction(n, (0,) + values)
-            assert in_polymatroid_cone(P, "local") == \
-                in_polymatroid_cone(P, "full")
+            assert in_polymatroid_cone(P) == \
+                in_polymatroid_cone_all_pairs(P)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -113,10 +115,19 @@ def test_local_equals_full_random(n):
     agree = 0
     for _ in range(10_000):
         P = SetFunction(n, (0,) + tuple(rng.randint(0, 3) for _ in range(size)))
-        assert in_polymatroid_cone(P, "local") == \
-            in_polymatroid_cone(P, "full")
+        assert in_polymatroid_cone(P) == \
+            in_polymatroid_cone_all_pairs(P)
         agree += 1
     assert agree == 10_000
+
+
+def test_cone_predicates_take_no_mode():
+    P = table(1, {(1,): 1})
+    assert in_polymatroid_cone(P) and is_polymatroid(P)
+    with pytest.raises(TypeError):
+        in_polymatroid_cone(P, "full")
+    with pytest.raises(TypeError):
+        is_polymatroid(P, "local")
 
 
 def test_indicator_is_never_polymatroid_below_top():
@@ -124,7 +135,7 @@ def test_indicator_is_never_polymatroid_below_top():
         for bits in range(1, 2 ** n - 1):
             e = SetFunction(n, tuple(1 if m == bits else 0
                                      for m in range(2 ** n)))
-            assert not is_polymatroid(e, "local")
+            assert not is_polymatroid(e)
 
 
 def test_json_round_trip():

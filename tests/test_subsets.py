@@ -106,3 +106,22 @@ def test_text_form_rejects_non_canonical():
         parse_subset(4, "1,x")
     with pytest.raises(ValueError, match="out of range"):
         parse_subset(4, "1,5")
+
+
+# Spellings that int() accepts but format_subset never writes.
+NON_CANONICAL = ["01,2", " 1,2", "+1,2", "1,2 ", "\u0661,2", "1, 2", "1_0"]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL)
+def test_text_form_accepts_only_the_canonical_spelling(text):
+    with pytest.raises(ValueError, match="malformed subset key"):
+        parse_subset(12, text)
+
+
+def test_elements_must_be_integers_not_bools():
+    for elements in ([True], [1, True], [False]):
+        with pytest.raises(ValueError, match="out of range"):
+            SubsetRef.from_elements(3, elements)
+        with pytest.raises(ValueError, match="out of range"):
+            subset(3, elements)
+    assert subset(3, [1]) == SubsetRef(3, 1)

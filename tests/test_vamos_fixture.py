@@ -16,8 +16,10 @@ from itertools import combinations, permutations
 
 from rankineq.functionals import basic_functionals, kinser, pair, permute_functional
 from rankineq.maps import UnionMap, pullback
-from rankineq.setfunctions import SetFunction, in_polymatroid_cone, is_matroid, is_polymatroid
+from rankineq.setfunctions import SetFunction, is_matroid
 from rankineq.subsets import subset
+
+from oracles import in_polymatroid_cone_all_pairs, is_polymatroid_all_pairs
 
 PAIRS = ((1, 2), (3, 4), (5, 6), (7, 8))
 FOUR_POINT_PLANES = [
@@ -59,8 +61,8 @@ def test_vamos_pullback_separates_the_cones():
     phi = UnionMap(4, 8, [PAIRS[2], PAIRS[3], PAIRS[0], PAIRS[1]])
     P = pullback(phi, V)
     # P satisfies every defining inequality of the polymatroid cone ...
-    assert is_polymatroid(P, "full")
-    assert in_polymatroid_cone(P, "full")
+    assert is_polymatroid_all_pairs(P)
+    assert in_polymatroid_cone_all_pairs(P)
     assert all(pair(f, P) >= 0 for f in basic_functionals(4))
     # ... yet violates the generator, so it is not realizable
     assert pair(kinser(4), P) == -1
