@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import random
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .arrangements import sum_echelons
+from .arrangements import sum_echelons, uniform_U
 from .functionals import kinser
 from .linalg import RATIONAL, Echelon, Scalar
 from .maps import UnionMap, hierarchy_map, pullback, pushforward
 from .setfunctions import SetFunction
-from .subsets import SubsetRef, mobius
+from .subsets import SubsetRef, mobius, nonempty_subsets
 
 
 class CertificateReport(NamedTuple):
@@ -47,6 +47,14 @@ def _report(check: str, n: int, failures: Sequence[str],
             notes: Sequence[str] = ()) -> CertificateReport:
     outcome = "fail" if failures else "pass"
     return CertificateReport(check, n, outcome, tuple(failures) + tuple(notes))
+
+
+def _check_n(name: str, n: object) -> None:
+    """Reject any n but an int in the range CERTIFICATES gives this certificate."""
+    valid = CERTIFICATES[name][1]
+    if type(n) is not int or n not in valid:
+        raise ValueError(f"certificate {name!r} requires n in "
+                         f"{valid.start}..{valid.stop - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,53 +101,39 @@ def _witness_blocks(n: int) -> dict:
     The ambient space has basis w_1..w_{n-1}, wtilde (coordinates
     0..n-2, n-1); w-indices wrap around mod n-1.
     """
-    dim = n
-
-    def w(i: int) -> list[int]:
-        row = [0] * dim
-        row[(i - 1) % (n - 1)] = 1
-        return row
-
-    wt = [0] * dim
-    wt[n - 1] = 1
-    big = {i: [w(i + t) for t in range(n - 3)] + [wt] for i in range(2, n)}
-    z1 = [w(i) for i in range(1, n - 2)] + [wt]
+    full = [[int(i == j) for j in range(n)] for i in range(n)]
+    wt = full[n - 1]
+    big = {i: [full[(i + t - 1) % (n - 1)] for t in range(n - 3)] + [wt]
+           for i in range(2, n)}
+    z1 = full[:n - 3] + [wt]
     z2 = [[1] * (n - 1) + [0], wt]
-    full = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    return {"dim": dim, "W": big, "Z1": z1, "Z2": z2, "full": full}
+    return {"dim": n, "W": big, "Z1": z1, "Z2": z2, "full": full}
 
 
-_TABLE_PAIRS = "table"
-_SUM_CASE = "sum"
-
-
-def _choose_w1(n: int, cmask: int, blocks: dict,
-               T: SetFunction) -> tuple[list[list[int]], str]:
+def _choose_w1(n: int, cmask: int, blocks: dict, T: SetFunction) -> list[list[int]]:
     """Pick W_1 for a substitution with phi(1) = cmask.
 
-    Dispatch order: empty set; the five-entry table; subsets of {3..n}
-    (as the sum of the fixed subspaces W_{j-1}, j in phi(1), with the
-    index shifted to match phi(i) = {i+1}); everything with witness value
-    n gets the whole space.
+    Dispatch order: subsets of {3..n}, the empty set included (as the sum
+    of the fixed subspaces W_{j-1}, j in phi(1), with the index shifted to
+    match phi(i) = {i+1}); the five-entry table; everything with witness
+    value n gets the whole space.
     """
     elems = [i for i in range(1, n + 1) if cmask >> (i - 1) & 1]
+    if not cmask & 0b11:
+        return [row for j in elems for row in blocks["W"][j - 1]]
     cset = set(elems)
-    if not elems:
-        return [], "zero"
     if cset == {1}:
-        return blocks["Z1"], _TABLE_PAIRS
+        return blocks["Z1"]
     if cset == {2}:
-        return blocks["Z2"], _TABLE_PAIRS
+        return blocks["Z2"]
     if cset == {1, 3}:
-        return blocks["Z1"] + blocks["W"][2], _TABLE_PAIRS
+        return blocks["Z1"] + blocks["W"][2]
     if cset == {1, n}:
-        return blocks["Z1"] + blocks["W"][n - 1], _TABLE_PAIRS
+        return blocks["Z1"] + blocks["W"][n - 1]
     if len(elems) == 2 and 2 in cset and max(cset) >= 3:
-        return blocks["Z2"] + blocks["W"][max(cset) - 1], _TABLE_PAIRS
-    if min(cset) >= 3:
-        return [row for j in elems for row in blocks["W"][j - 1]], _SUM_CASE
+        return blocks["Z2"] + blocks["W"][max(cset) - 1]
     if T.value_at(cmask) == T.n:
-        return blocks["full"], "whole-space"
+        return blocks["full"]
     raise AssertionError(f"unhandled substitution image {cset}")
 
 
@@ -166,8 +160,7 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
     are built once.  In each field the echelons of all sums of W_2, ...,
     W_{n-1} are built once, and each distinct W_1 extends them.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
-        raise ValueError("4 <= n <= 8 required")
+    _check_n("witness", n)
     if T is None:
         T = witness_T(n)
     elif T.n != n:
@@ -175,18 +168,18 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
     blocks = _witness_blocks(n)
     dim = blocks["dim"]
     tail = [[i + 1] for i in range(2, n)]  # phi(i) = {i+1} for i >= 2
-    substitutions = []  # (phi(1), pullback values, W_1, kind), in every field
+    substitutions = []  # (phi(1), pullback values, W_1), in every field
     for cmask in range(1 << n):
         expected = pullback(UnionMap(n - 1, n, [SubsetRef(n, cmask)] + tail), T)
         substitutions.append((cmask, expected.values_by_mask(),
-                              *_choose_w1(n, cmask, blocks, T)))
+                              _choose_w1(n, cmask, blocks, T)))
     failures: list[str] = []
     sum_realized = False
     cases = 0
     for fld, fld_name in ((RATIONAL, "rationals"), (2, "GF(2)"), (3, "GF(3)")):
         fixed = sum_echelons(fld, dim, [blocks["W"][i] for i in range(2, n)])
         ranks: dict[tuple, tuple[int, ...]] = {}
-        for cmask, expected, w1, kind in substitutions:
+        for cmask, expected, w1 in substitutions:
             key = tuple(map(tuple, w1))
             got = ranks.get(key)
             if got is None:
@@ -198,7 +191,8 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
                     f"{fld_name}, phi(1)={SubsetRef(n, cmask)!r}: rank function differs "
                     f"at {SubsetRef(n - 1, m)!r}: arrangement {got[m]}, pullback {expected[m]}")
                 break
-            sum_realized = sum_realized or kind == _SUM_CASE
+            # the sum case: phi(1) nonempty, inside {3..n}
+            sum_realized = sum_realized or cmask and not cmask & 0b11
         if failures:
             break
     notes = [f"{cases} substitution cases checked across rationals/GF(2)/GF(3)"]
@@ -213,16 +207,14 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
 
 def verify_hierarchy(n: int, substitution: UnionMap | None = None) -> CertificateReport:
     """Pushing the n-th inequality along the collapse map gives the (n-1)-st."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 5:
-        raise ValueError("n >= 5 required")
+    _check_n("hierarchy", n)
     if substitution is None:
         substitution = hierarchy_map(n)
     got = pushforward(substitution, kinser(n))
     want = kinser(n - 1)
     failures = []
     if got != want:
-        diff = got - want
-        worst = diff.items()[0]
+        worst = (got - want).items()[0]
         failures.append(
             f"pushforward differs from the n={n - 1} generator on "
             f"{SubsetRef(n - 1, worst[0])!r} (excess coefficient {worst[1]})")
@@ -275,25 +267,14 @@ def vanishing_condition(n: int, S: SubsetRef, d: int) -> bool:
 
 def vanishing_family(n: int) -> list[tuple[SubsetRef, int]]:
     """All (S, d), S nonempty and 1 <= d <= n, meeting the vanishing condition."""
-    out = []
-    for bits in range(1, 1 << n):
-        S = SubsetRef(n, bits)
-        for d in range(1, n + 1):
-            if vanishing_condition(n, S, d):
-                out.append((S, d))
-    return out
+    return [(S, d) for S in nonempty_subsets(n) for d in range(1, n + 1)
+            if vanishing_condition(n, S, d)]
 
 
 def _pair_uniform(terms: Sequence[tuple[int, Scalar]], smask: int, d: int) -> Scalar:
     """<f, U(S, d)> summed over f.items(), without the dense 2^n vector."""
     return sum([c * (k if (k := (mask & smask).bit_count()) < d else d)
                 for mask, c in terms])
-
-
-def _u_row(n: int, smask: int, d: int) -> list[int]:
-    """U(S, d) as a vector of H_n: its values on the nonempty subsets."""
-    return [k if (k := (mask & smask).bit_count()) < d else d
-            for mask in range(1, 1 << n)]
 
 
 def verify_vanishing(n: int) -> CertificateReport:
@@ -303,8 +284,7 @@ def verify_vanishing(n: int) -> CertificateReport:
     size of kinser(n), min(d, |A meet S|) = |A meet S| on every term once
     d >= t, so the pairing at d = t serves every larger d.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 4:
-        raise ValueError("n >= 4 required")
+    _check_n("vanishing", n)
     terms = kinser(n).items()
     top = max(mask.bit_count() for mask, _ in terms)
     failures = []
@@ -330,14 +310,22 @@ def verify_vanishing(n: int) -> CertificateReport:
 _PACK_BITS = 16  # bits per coordinate of a packed row, a multiple of 8
 
 
+def _u_row(n: int, smask: int, d: int) -> int:
+    """U(S, d) in H_n, packed: min(d, |A meet S|) in the low byte of slot A - 1."""
+    buf = bytearray(_PACK_BITS // 8 * ((1 << n) - 1))
+    buf[::_PACK_BITS // 8] = [k if (k := (mask & smask).bit_count()) < d else d
+                              for mask in range(1, 1 << n)]
+    return int.from_bytes(buf, "little")
+
+
 def _zero_sum(n: int, rows: dict, lines: Sequence[tuple[int, int, int]],
               units: Sequence[tuple[int, int]] = ()) -> bool:
     """Whether sum c*U(S,d) over lines plus sum c*e_A over units is 0 in H_n.
 
-    Rows are cached in rows, packed w = _PACK_BITS bits per coordinate with
-    coordinate A - 1 at bit w(A - 1).  Packing is linear, and a packed vector
-    is 0 only if each coordinate is, once all have size below 2^w; U(S, d)
-    has entries 0..n, so the bound n * sum |c| + sum |c_unit| is checked.
+    Rows are the packed _u_row, cached in rows.  Packing is linear, and a
+    packed vector is 0 only if each coordinate is, once all have size below
+    2^w; U(S, d) has entries 0..n, so the bound n * sum |c| + sum |c_unit|
+    is checked.
     """
     w = _PACK_BITS
     bound = n * sum(abs(c) for _, _, c in lines) + sum(abs(c) for _, c in units)
@@ -347,9 +335,7 @@ def _zero_sum(n: int, rows: dict, lines: Sequence[tuple[int, int, int]],
     for smask, d, c in lines:
         row = rows.get((smask, d))
         if row is None:
-            buf = bytearray(w // 8 * ((1 << n) - 1))
-            buf[::w // 8] = _u_row(n, smask, d)
-            row = rows[smask, d] = int.from_bytes(buf, "little")
+            row = rows[smask, d] = _u_row(n, smask, d)
         total += c * row
     for amask, c in units:
         total += c << w * (amask - 1)
@@ -368,94 +354,71 @@ def verify_line_identities(n: int) -> CertificateReport:
     given as (A, c), whose integer rows, each built once as a packed int,
     must sum to the zero vector.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
-        raise ValueError("4 <= n <= 8 required")
-    failures: list[str] = []
+    _check_n("identities", n)
     full = (1 << n) - 1
-    counts = {}
-    zero_sum = partial(_zero_sum, n, {})  # one packed-row cache per call
+    sub = partial(SubsetRef, n)
 
     def supersets(mask: int) -> list[int]:
         return [amask for amask in range(mask, full + 1) if amask & mask == mask]
 
-    # splitting: U(S, d) with d >= |S| decomposes into single lines
-    checked = 0
-    for smask in range(1 << n):
-        lines = [(1 << i, 1, -1) for i in range(n) if smask >> i & 1]
-        for d in range(max(1, smask.bit_count()), n + 1):
-            if not zero_sum([(smask, d, 1)] + lines):
-                failures.append(f"splitting fails for S={SubsetRef(n, smask)!r}, d={d}")
+    def identities() -> Iterator[tuple[str, list, list, Callable[[], str]]]:
+        """(family, lines, units, failure line); a failure line runs before the next."""
+        # splitting: U(S, d) with d >= |S| decomposes into single lines
+        for smask in range(1 << n):
+            lines = [(1 << i, 1, -1) for i in range(n) if smask >> i & 1]
+            for d in range(max(1, smask.bit_count()), n + 1):
+                yield ("splitting", [(smask, d, 1)] + lines, [],
+                       lambda: f"splitting fails for S={sub(smask)!r}, d={d}")
+        yield ("top-and-coatoms", [(full, n, 1), (full, n - 1, -1)], [(full, -1)],
+               lambda: "top identity fails: e_[n] != U([n],n) - U([n],n-1)")
+        for i in range(n):
+            smask = full ^ (1 << i)
+            yield ("top-and-coatoms",
+                   [(full, n - 1, 1), (smask, n - 2, -1), (1 << i, 1, -1)],
+                   [(smask, -1)], lambda: f"coatom identity fails for S={sub(smask)!r}")
+        # Mobius expansion of e_S for |S| <= n - 2; U(A, 0) is the zero vector
+        for smask in range(1, 1 << n):
+            if smask.bit_count() <= n - 2:
+                S = sub(smask)
+                yield ("mobius", [(amask, amask.bit_count() - 1, -mobius(S, sub(amask)))
+                                  for amask in supersets(smask)],
+                       [(smask, -1)], lambda: f"Mobius expansion fails for S={S!r}")
+        # triples: U(T,3) - U(T,2) is the indicator sum over supersets
+        for tmask in range(1, 1 << n):
+            if tmask.bit_count() == 3:
+                yield ("triples", [(tmask, 3, 1), (tmask, 2, -1)],
+                       [(amask, -1) for amask in supersets(tmask)],
+                       lambda: f"triple identity fails for {sub(tmask)!r}")
+        # four-term identity on random (T, a, b)
+        rng = random.Random(74099 + n)
+        checked = 0
+        while checked < 100:
+            tmask = rng.randrange(1 << n) & full
+            outside = [i for i in range(n) if not tmask >> i & 1]
+            if len(outside) < 2:
+                continue
+            a, b = rng.sample(outside, 2)
+            ab = 1 << a | 1 << b
             checked += 1
-    counts["splitting"] = checked
+            yield ("four-term", [(tmask | 1 << a, 1, 1), (tmask | 1 << b, 1, 1),
+                                 (tmask, 1, -1), (tmask | ab, 1, -1)],
+                   [(amask, -1) for amask in supersets(ab) if not amask & tmask],
+                   lambda: f"four-term identity fails for T={sub(tmask)!r}, "
+                           f"a={a + 1}, b={b + 1}")
 
-    # e_[n] and coatoms
-    if not zero_sum([(full, n, 1), (full, n - 1, -1)], [(full, -1)]):
-        failures.append("top identity fails: e_[n] != U([n],n) - U([n],n-1)")
-    for i in range(n):
-        smask = full ^ (1 << i)
-        if not zero_sum([(full, n - 1, 1), (smask, n - 2, -1), (1 << i, 1, -1)],
-                        [(smask, -1)]):
-            failures.append(f"coatom identity fails for S={SubsetRef(n, smask)!r}")
-    counts["top-and-coatoms"] = n + 1
-
-    # Mobius expansion of e_S for |S| <= n - 2; U(A, 0) is the zero vector
-    checked = 0
-    for smask in range(1, 1 << n):
-        if smask.bit_count() > n - 2:
-            continue
-        S = SubsetRef(n, smask)
-        lines = [(amask, amask.bit_count() - 1, -mobius(S, SubsetRef(n, amask)))
-                 for amask in supersets(smask)]
-        if not zero_sum(lines, [(smask, -1)]):
-            failures.append(f"Mobius expansion fails for S={S!r}")
-        checked += 1
-    counts["mobius"] = checked
-
-    # triples: U(T,3) - U(T,2) is the indicator sum over supersets
-    checked = 0
-    for tmask in range(1, 1 << n):
-        if tmask.bit_count() != 3:
-            continue
-        if not zero_sum([(tmask, 3, 1), (tmask, 2, -1)],
-                        [(amask, -1) for amask in supersets(tmask)]):
-            failures.append(f"triple identity fails for {SubsetRef(n, tmask)!r}")
-        checked += 1
-    counts["triples"] = checked
-
-    # four-term identity on random (T, a, b)
-    rng = random.Random(74099 + n)
-    checked = 0
-    while checked < 100:
-        tmask = rng.randrange(1 << n) & full
-        outside = [i for i in range(n) if not tmask >> i & 1]
-        if len(outside) < 2:
-            continue
-        a, b = rng.sample(outside, 2)
-        ab = 1 << a | 1 << b
-        lines = [(tmask | 1 << a, 1, 1), (tmask | 1 << b, 1, 1),
-                 (tmask, 1, -1), (tmask | ab, 1, -1)]
-        if not zero_sum(lines, [(amask, -1) for amask in supersets(ab)
-                                if not amask & tmask]):
-            failures.append(
-                f"four-term identity fails for T={SubsetRef(n, tmask)!r}, "
-                f"a={a + 1}, b={b + 1}")
-        checked += 1
-    counts["four-term"] = checked
-
-    notes = [", ".join(f"{k}: {v}" for k, v in counts.items())]
-    return _report("line_identities", n, failures, notes)
+    failures: list[str] = []
+    counts: dict[str, int] = {}
+    zero_sum = partial(_zero_sum, n, {})  # one packed-row cache per call
+    for family, lines, units, failure in identities():
+        counts[family] = counts.get(family, 0) + 1
+        if not zero_sum(lines, units):
+            failures.append(failure())
+    return _report("line_identities", n, failures,
+                   [", ".join(f"{k}: {v}" for k, v in counts.items())])
 
 
 # ---------------------------------------------------------------------------
 # Facet dimension and explicit basis
-
-
-_PARITY = bytes(48 + (x & 1) for x in range(256))  # byte x -> ASCII x mod 2
-
-
-def _gf2_row(n: int, smask: int, d: int) -> int:
-    """U(S, d) mod 2 as one int: bit A - 1 holds min(d, |A meet S|) mod 2."""
-    return int(bytes(_u_row(n, smask, d)[::-1]).translate(_PARITY), 2)
 
 
 def _gf2_rank(rows: Iterable[int], stop: int) -> int:
@@ -477,29 +440,30 @@ def facet_rank(n: int) -> tuple[int, int]:
     Returns (rank of the vanishing family, rank of all U(S,d) with
     1 <= d <= n).  Each vanishing member is re-verified to pair to 0 with
     the nonzero generator, so that family's rank over QQ is at most 2^n - 2,
-    and its rank over GF(2), on bitset rows, is no larger: one that reaches
-    2^n - 2 is exact.  The span is then ker kinser(n), so the full family
-    has rank 2^n - 1 if some U(S, d) pairs to nonzero, exactly, else 2^n - 2.
-    A GF(2) rank that stops short is recomputed by one elimination over QQ,
-    which goes on to the other rows to decide the full rank as well.
+    and its rank over GF(2) is no larger: one that reaches 2^n - 2 is exact.
+    The GF(2) rows are the parity bits of the packed _u_row, the low bit of
+    each slot, so they have the rank of the 0/1 rows.  The span is then
+    ker kinser(n), so the full family has rank 2^n - 1 if some U(S, d) pairs
+    to nonzero, exactly, else 2^n - 2.  A GF(2) rank that stops short is
+    recomputed by one elimination over QQ, which goes on to the other rows
+    to decide the full rank as well.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
-        raise ValueError("4 <= n <= 8 required")
+    _check_n("facet", n)
     terms = kinser(n).items()
-    kernel = []
-    for S, d in vanishing_family(n):
+    kernel = vanishing_family(n)
+    for S, d in kernel:
         value = _pair_uniform(terms, S.bits, d)
         if value != 0:
             raise RuntimeError(
                 f"vanishing family member U(S={S!r}, d={d}) pairs to {value}")
-        kernel.append((S.bits, d))
     ncols = (1 << n) - 1
     family = [(smask, d) for smask in range(1, 1 << n) for d in range(1, n + 1)]
-    if _gf2_rank((_gf2_row(n, smask, d) for smask, d in kernel), ncols - 1) < ncols - 1:
+    low = ((1 << _PACK_BITS * ncols) - 1) // ((1 << _PACK_BITS) - 1)  # 1 in each slot
+    if _gf2_rank((_u_row(n, S.bits, d) & low for S, d in kernel), ncols - 1) < ncols - 1:
         ech = Echelon(RATIONAL, ncols)
-        ech.extend(_u_row(n, smask, d) for smask, d in kernel)
-        kernel_rank = ech.rank
-        ech.extend(_u_row(n, smask, d) for smask, d in family if ech.rank < ncols)
+        kernel_rank = ech.extend(uniform_U(n, S, d).values_by_mask()[1:] for S, d in kernel)
+        ech.extend(uniform_U(n, SubsetRef(n, smask), d).values_by_mask()[1:]
+                   for smask, d in family if ech.rank < ncols)
         return kernel_rank, ech.rank
     # every kernel member pairs to 0, so a nonzero pairing lifts the span
     lifted = any(_pair_uniform(terms, smask, d) for smask, d in family)
@@ -513,11 +477,10 @@ def verify_facet(n: int, ranks: tuple[int, int] | None = None) -> CertificateRep
     codimension-1 face, which is what makes it irreducible.  The caller
     may pass ranks = facet_rank(n) already computed.
     """
+    _check_n("facet", n)
     got = ranks or facet_rank(n)
     want = (2 ** n - 2, 2 ** n - 1)
-    failures = []
-    if got != want:
-        failures.append(f"ranks {got}, expected {want}")
+    failures = [f"ranks {got}, expected {want}"] if got != want else []
     return _report("facet_rank", n, failures,
                    [f"rank in kernel {got[0]}, full rank {got[1]}"])
 
@@ -555,8 +518,7 @@ def verify_basis_F(n: int, alpha: dict[int, int] | None = None,
     so the vectors are independent and their rank is the number checked.
     The caller may pass ranks = facet_rank(n) already computed.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 5 <= n <= 7:
-        raise ValueError("5 <= n <= 7 required")
+    _check_n("basis", n)
     if alpha is None:
         alpha = basis_alpha(n)
     kernel_rank = (ranks or facet_rank(n))[0]
@@ -597,19 +559,16 @@ CERTIFICATES: dict[str, tuple[Callable[[int], CertificateReport], range]] = {
 
 def run_certificates(n: int, which: str = "all") -> list[CertificateReport]:
     """Run one named certificate, or every one applicable at this n."""
-    if which == "all":
-        # one facet_rank(n) serves the facet and basis reports
-        ranks = facet_rank(n) if n in CERTIFICATES["facet"][1] else None
-        reports = [check(n, ranks=ranks) if name in ("facet", "basis") else check(n)
-                   for name, (check, valid) in CERTIFICATES.items() if n in valid]
-        if not reports:
-            raise ValueError(f"no certificate is applicable at n={n}")
-        return reports
-    if which not in CERTIFICATES:
-        raise ValueError(f"unknown certificate {which!r}; "
-                         f"choose from {', '.join(CERTIFICATES)} or all")
-    check, valid = CERTIFICATES[which]
-    if n not in valid:
-        raise ValueError(f"certificate {which!r} requires n in "
-                         f"{valid.start}..{valid.stop - 1}")
-    return [check(n)]
+    if which != "all":
+        if which not in CERTIFICATES:
+            raise ValueError(f"unknown certificate {which!r}; "
+                             f"choose from {', '.join(CERTIFICATES)} or all")
+        _check_n(which, n)
+        return [CERTIFICATES[which][0](n)]
+    names = [name for name, (_, valid) in CERTIFICATES.items() if n in valid]
+    if not names:
+        raise ValueError(f"no certificate is applicable at n={n}")
+    # one facet_rank(n) serves the facet and basis reports
+    ranks = facet_rank(n) if "facet" in names else None
+    return [check(n, ranks=ranks) if name in ("facet", "basis") else check(n)
+            for name, (check, _) in CERTIFICATES.items() if name in names]

@@ -18,17 +18,18 @@ from operator import add
 from .arrangements import (Arrangement, check_dim_and_prime, derive_seed,
                            random_arrangement, rank_function)
 from .certificates import CERTIFICATES, run_certificates
-from .functionals import (Functional, PairingTable, basic_functionals,
-                          check_permutation, kinser, pair, permute_functional)
+from .functionals import (Functional, PairingTable, basic_functionals, kinser,
+                          pair, permute_functional)
 from .maps import UnionMap, pullback, pushforward
 from .setfunctions import (SetFunction, in_polymatroid_cone, is_connected,
                            is_integral, is_matroid)
+from .subsets import _CANONICAL_KEY, check_digits
 
 
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, parse_int=lambda s: int(check_digits(s)))
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: the input is nested too deeply to decode
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
@@ -70,11 +71,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_gen_kinser(args: argparse.Namespace) -> int:
     f = kinser(args.n)
     if args.permute is not None:
-        try:
-            images = [int(x) for x in args.permute.split(",")]
-        except ValueError:
-            raise ValueError(f"malformed permutation {args.permute!r}") from None
-        f = permute_functional(f, check_permutation(images, args.n))
+        if _CANONICAL_KEY(args.permute) is None:  # integers as str() writes them
+            raise ValueError(f"malformed permutation {args.permute!r}")
+        f = permute_functional(f, [int(x) for x in check_digits(args.permute).split(",")])
     _emit(f.dumps(), args.output)
     return 0
 
@@ -251,6 +250,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    # Exact results print in full; the input literals are capped when parsed.
+    # Python before 3.10.7 has no limit on int-to-str conversion to lift.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
@@ -259,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug, not a failed check: keep it off code 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .linalg import RATIONAL, Scalar, normalize_scalar
-from .subsets import SubsetRef, format_subset, parse_subset
+from .subsets import SubsetRef, check_digits, format_subset, parse_subset
 
 SubsetKey = Union[SubsetRef, Iterable[int]]
 
@@ -34,6 +34,9 @@ def parse_value(raw: object) -> Scalar:
     if isinstance(raw, int):
         return raw
     if isinstance(raw, str):
+        check_digits(raw)
+        if "e" in raw.lower():  # an exponent: "1e9999999" has ten million digits
+            raise ValueError(f"not an exact rational: {raw!r}")
         try:
             return normalize_scalar(Fraction(raw), RATIONAL)
         except (ValueError, ZeroDivisionError):

@@ -11,6 +11,9 @@ import re
 from typing import Iterable, Iterator
 
 MAX_GROUND_SET = 20
+# Longest run of digits read: int() takes time quadratic in its length.
+MAX_DIGITS = 4300
+_LONG_RUN = re.compile(rf"\d{{{MAX_DIGITS + 1}}}").search
 
 # Integers as str() writes them; int() also takes " 1", "+1", "01", "1_0", "\u0661".
 _CANONICAL_KEY = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*").fullmatch
@@ -94,6 +97,13 @@ class SubsetRef:
         return "{" + ",".join(str(i) for i in self.elements()) + "}"
 
 
+def check_digits(text: str) -> str:
+    """Return text, unless it has a run of more than MAX_DIGITS digits."""
+    if _LONG_RUN(text):
+        raise ValueError(f"number literal longer than {MAX_DIGITS} digits")
+    return text
+
+
 def subset(n: int, elements: Iterable[int]) -> SubsetRef:
     """Build the subset of {1,...,n} with the given elements (duplicates ok)."""
     return SubsetRef.from_elements(n, elements)
@@ -127,7 +137,7 @@ def parse_subset(n: int, text: str) -> SubsetRef:
     """Parse the text form; accepts only keys spelled as format_subset writes them."""
     if _CANONICAL_KEY(text) is None:
         raise ValueError(f"malformed subset key {text!r}")
-    values = [int(p) for p in text.split(",")]
+    values = [int(p) for p in check_digits(text).split(",")]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"subset key not strictly increasing: {text!r}")
     return SubsetRef.from_elements(n, values)

@@ -33,3 +33,13 @@ def in_polymatroid_cone_all_pairs(P: SetFunction) -> bool:
 def is_polymatroid_all_pairs(P: SetFunction) -> bool:
     """The reference for ``is_polymatroid``: integral and in the cone."""
     return is_integral(P) and in_polymatroid_cone_all_pairs(P)
+
+
+def gf2_row(n: int, smask: int, d: int) -> int:
+    """U(S, d) mod 2 as one int: bit A - 1 holds min(d, |A meet S|) mod 2.
+
+    The reference for the rows of the facet sweep, which reads the same
+    parities off the low bit of each slot of the packed U(S, d).
+    """
+    return sum(1 << (mask - 1) for mask in range(1, 1 << n)
+               if min(d, (mask & smask).bit_count()) & 1)

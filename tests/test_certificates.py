@@ -19,7 +19,7 @@ from rankineq.maps import UnionMap
 from rankineq.setfunctions import SetFunction, is_matroid
 from rankineq.subsets import SubsetRef, mobius, subset
 
-from oracles import is_polymatroid_all_pairs
+from oracles import gf2_row, is_polymatroid_all_pairs
 
 
 def test_witness_values_at_4():
@@ -97,7 +97,7 @@ def test_witness_realizations_compare_every_case(monkeypatch):
 
     def swapped(n, cmask, blocks, T):
         if cmask == target.bits:
-            return blocks["Z1"], "sum"
+            return blocks["Z1"]
         return choose(n, cmask, blocks, T)
 
     monkeypatch.setattr(certs, "_choose_w1", swapped)
@@ -113,7 +113,7 @@ def test_hierarchy_pass_and_negative_control():
     bad = UnionMap(6, 5, [[1], [2], [3], [4], [5], [1, 3]])
     report = verify_hierarchy(6, bad)
     assert not report.passed
-    with pytest.raises(ValueError, match="n >= 5"):
+    with pytest.raises(ValueError, match=r"requires n in 5\.\.20"):
         verify_hierarchy(4)
 
 
@@ -235,7 +235,7 @@ def test_line_identities_fail_on_a_corrupted_term(monkeypatch, elems, d, line, f
     def corrupted(n, smask, dd):
         out = row(n, smask, dd)
         if (smask, dd) == bad:
-            out[-1] += 1
+            out += 1 << certs._PACK_BITS * (2 ** n - 2)  # the last coordinate, [n]
         return out
 
     monkeypatch.setattr(certs, "_u_row", corrupted)
@@ -247,11 +247,15 @@ def test_line_identities_fail_on_a_corrupted_term(monkeypatch, elems, d, line, f
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_u_row_is_the_uniform_polymatroid(n):
-    # the identities sum these rows; tie them to the public polymatroid
+    # the identities sum these rows, and the facet sweep reduces their low
+    # bits mod 2; tie them to the public polymatroid, slot by slot
+    w = certs._PACK_BITS
     for smask in range(1 << n):
         for d in range(1, n + 2):
             want = uniform_U(n, SubsetRef(n, smask), d).values_by_mask()[1:]
-            assert certs._u_row(n, smask, d) == list(want)
+            row = certs._u_row(n, smask, d)
+            assert [row >> w * j & (1 << w) - 1 for j in range(2 ** n - 1)] == list(want)
+            assert row >> w * (2 ** n - 1) == 0
 
 
 def test_line_identities_build_each_row_once(monkeypatch):
@@ -368,6 +372,27 @@ def test_facet_full_rank_comes_from_an_exact_pairing(monkeypatch):
     assert any(value and (smask, d) not in members for smask, d, value in calls)
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_facet_sweep_reduces_the_parity_bits_of_the_packed_rows(monkeypatch, n):
+    # bit w(A - 1) of each swept row is min(d, |A meet S|) mod 2, and no
+    # other bit is set: the oracle's bit A - 1, moved to the low bit of slot A
+    swept = []
+    sweep = certs._gf2_rank
+
+    def spy(rows, stop):
+        swept.append(list(rows))
+        return sweep(swept[-1], stop)
+
+    monkeypatch.setattr(certs, "_gf2_rank", spy)
+    assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
+    w = certs._PACK_BITS
+
+    def spread(bits):
+        return sum(1 << w * j for j in range(bits.bit_length()) if bits >> j & 1)
+
+    assert swept == [[spread(gf2_row(n, S.bits, d)) for S, d in vanishing_family(n)]]
+
+
 def test_facet_rank_top_of_range():
     assert facet_rank(8) == (254, 255)
 
@@ -461,7 +486,7 @@ def test_witness_arrangement_field_independent():
     blocks = _witness_blocks(n)
     fixed = [blocks["W"][i] for i in range(2, n)]
     for cmask in (0, 0b1, 0b10, 0b101, 0b1100):
-        w1, _ = _choose_w1(n, cmask, blocks, witness_T(n))
+        w1 = _choose_w1(n, cmask, blocks, witness_T(n))
         ranks = [rank_function(Arrangement(f, blocks["dim"], [w1] + fixed))
                  for f in (0, 2, 3)]
         assert ranks[0] == ranks[1] == ranks[2]
@@ -477,6 +502,43 @@ def test_report_json_shape():
     assert parsed == obj
     # determinism for fixed inputs
     assert verify_facet(4) == report
+
+
+@pytest.mark.parametrize("name", list(certs.CERTIFICATES))
+def test_each_certificate_rejects_n_outside_its_table_range(name):
+    # the function, run_certificates and, for the facet, facet_rank all read
+    # the one range in CERTIFICATES and give the message the CLI prints
+    check, valid = certs.CERTIFICATES[name]
+    message = f"certificate {name!r} requires n in {valid.start}..{valid.stop - 1}"
+    callers = [check, lambda n: run_certificates(n, name)]
+    if name == "facet":
+        callers.append(facet_rank)
+    for bad in (valid.start - 1, valid.stop, True, "5", float(valid.start)):
+        for call in callers:
+            with pytest.raises(ValueError) as exc:
+                call(bad)
+            assert str(exc.value) == message
+
+
+def test_certificate_public_functions_are_the_table_entries():
+    assert {name: check for name, (check, _) in certs.CERTIFICATES.items()} == {
+        "hierarchy": verify_hierarchy, "witness": verify_witness_realizations,
+        "vanishing": verify_vanishing, "identities": verify_line_identities,
+        "facet": verify_facet, "basis": verify_basis_F}
+
+
+def test_functions_obey_a_narrower_range_in_the_table(monkeypatch):
+    for name, (check, valid) in list(certs.CERTIFICATES.items()):
+        monkeypatch.setitem(certs.CERTIFICATES, name,
+                            (check, range(valid.start, valid.start + 1)))
+    for name, (check, valid) in certs.CERTIFICATES.items():
+        with pytest.raises(ValueError) as exc:
+            check(valid.start + 1)
+        assert str(exc.value) == (
+            f"certificate '{name}' requires n in {valid.start}..{valid.start}")
+    with pytest.raises(ValueError, match=r"certificate 'facet' requires n in 4\.\.4"):
+        facet_rank(5)
+    assert verify_vanishing(4).passed and facet_rank(4) == (14, 15)
 
 
 def test_run_certificates_all_and_named():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, round-trips."""
 
 import json
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -67,6 +68,23 @@ def test_gen_kinser_empty_permutation(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: malformed permutation ''\n"
+
+
+@pytest.mark.parametrize("permute", [" 2,1,3,4", "+2,1,3,4", "02,1,3,4",
+                                     "2, 1,3,4", "2,1,3,\u0664", " 2,+1,3,\u0664"])
+def test_gen_kinser_rejects_non_canonical_permutation(capsys, permute):
+    # each reads as 2,1,3,4 under int(); images take the subset-key grammar
+    assert main(["gen-kinser", "--n", "4", "--permute", permute]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed permutation {permute!r}\n"
+
+
+def test_gen_kinser_canonical_permutation_output(capsys):
+    assert main(["gen-kinser", "--n", "4", "--permute", "2,1,3,4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == permute_functional(kinser(4), [2, 1, 3, 4]).dumps() + "\n"
+    assert captured.err == ""
 
 
 def test_check_polymatroid(files, capsys):
@@ -185,6 +203,59 @@ def test_bool_map_image_is_rejected(files, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/x.json"]) == 2
+
+
+def test_eval_prints_results_longer_than_the_literal_cap(files, capsys):
+    # (10^4000 - 1)^2 has 8,000 digits, past Python's default str() limit
+    nines = "9" * 4000
+    f = files("f.json", '{"n": 1, "coeffs": {"1": "%s"}}' % nines)
+    p = files("p.json", '{"n": 1, "values": {"1": %s}}' % nines)
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["eval", "--functional", f, "--point", p]) == 0
+        limit = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(outer)
+    captured = capsys.readouterr()
+    assert captured.out == "9" * 3999 + "8" + "0" * 3999 + "1\n"
+    assert captured.err == ""
+    assert limit == 4300  # main restores the caller's limit
+
+
+@pytest.mark.parametrize("which,text", [
+    ("point", '{"n": 1, "values": {"1": %s}}' % ("9" * 5000)),
+    ("point", '{"n": 1, "values": {"1": -%s}}' % ("9" * 5000)),
+    ("point", '{"n": 1, "values": {"1": "%s/7"}}' % ("9" * 5000)),
+    ("point", '{"n": 1, "values": {"%s": 1}}' % ("9" * 5000)),
+    ("functional", '{"n": 1, "coeffs": {"1": "7/%s"}}' % ("9" * 5000)),
+], ids=["json-int", "negative-json-int", "numerator", "subset-key", "denominator"])
+def test_over_long_literal_is_usage_error(files, capsys, which, text):
+    paths = {"functional": files("f.json", Functional.unit(1, [1]).to_json_obj()),
+             "point": files("p.json", SetFunction.zero(1).to_json_obj())}
+    paths[which] = files("bad.json", text)
+    assert main(["eval", "--functional", paths["functional"],
+                 "--point", paths["point"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: number literal longer than 4300 digits\n"
+
+
+def test_literal_of_4300_digits_is_read(files, capsys):
+    big = "9" * 4300
+    f = files("f.json", '{"n": 1, "coeffs": {"1": "-%s/7"}}' % big)
+    p = files("p.json", '{"n": 1, "values": {"1": %s}}' % big)
+    assert main(["eval", "--functional", f, "--point", p]) == 1
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("-") and len(out) == 1 + 8600 + 2  # "-p/7"
+
+
+def test_exponent_is_not_an_exact_rational(files, capsys):
+    # "1e9999999" once built a ten-million-digit integer before any check
+    f = files("f.json", '{"n": 1, "coeffs": {"1": "1e9999999"}}')
+    p = files("p.json", SetFunction.zero(1).to_json_obj())
+    assert main(["eval", "--functional", f, "--point", p]) == 2
+    assert capsys.readouterr().err == "error: not an exact rational: '1e9999999'\n"
 
 
 def test_bad_value_names_offending_key(files, capsys):

@@ -19,6 +19,8 @@ from rankineq.subsets import SubsetRef
 from rankineq.maps import UnionMap, pullback, pushforward
 from rankineq.functionals import Functional
 
+from oracles import gf2_row
+
 
 def naive_rank_fractions(rows):
     """Textbook Gauss elimination over Fractions, no pivoting tricks."""
@@ -282,9 +284,9 @@ def bits(row):
 def test_gf2_bitset_rank_against_echelon_on_vanishing_rows():
     for n in (4, 5, 6):
         ncols = 2 ** n - 1
-        rows = [certs._u_row(n, S.bits, d) for S, d in certs.vanishing_family(n)]
-        packed = [certs._gf2_row(n, S.bits, d)
-                  for S, d in certs.vanishing_family(n)]
+        rows = [uniform_U(n, S, d).values_by_mask()[1:]
+                for S, d in certs.vanishing_family(n)]
+        packed = [gf2_row(n, S.bits, d) for S, d in certs.vanishing_family(n)]
         assert packed == [bits(row) for row in rows]
         want = gf2_echelon_rank(rows, ncols)
         assert certs._gf2_rank(packed, ncols) == want == ncols - 1
@@ -307,7 +309,7 @@ def test_witness_ranks_against_rank_function():
         blocks = certs._witness_blocks(n)
         dim, T = blocks["dim"], certs.witness_T(n)
         fixed = [blocks["W"][i] for i in range(2, n)]
-        w1s = {tuple(map(tuple, certs._choose_w1(n, cmask, blocks, T)[0]))
+        w1s = {tuple(map(tuple, certs._choose_w1(n, cmask, blocks, T)))
                for cmask in range(2 ** n)}
         for field in (RATIONAL, 2, 3):
             states = sum_echelons(field, dim, fixed)
@@ -317,11 +319,21 @@ def test_witness_ranks_against_rank_function():
                     want.values_by_mask()
 
 
-def dense_zero_sum(n, lines, units):
+def dense_row(n, smask, d):
+    """U(S, d) as a plain list of its 2^n - 1 values on nonempty subsets.
+
+    The Mobius identities use U(A, 0), the zero vector.
+    """
+    if d == 0:
+        return [0] * (2 ** n - 1)
+    return list(uniform_U(n, SubsetRef(n, smask), d).values_by_mask()[1:])
+
+
+def dense_zero_sum(n, lines, units, row=dense_row):
     """The identity summed as plain lists of 2^n - 1 integers."""
     total = [0] * (2 ** n - 1)
     for smask, d, c in lines:
-        total = [t + c * u for t, u in zip(total, certs._u_row(n, smask, d))]
+        total = [t + c * u for t, u in zip(total, row(n, smask, d))]
     for amask, c in units:
         total[amask - 1] += c
     return not any(total)
@@ -330,12 +342,12 @@ def dense_zero_sum(n, lines, units):
 PACKED_ZERO_SUM = certs._zero_sum
 
 
-def _zero_sums_against_dense(monkeypatch, n):
+def _zero_sums_against_dense(monkeypatch, n, row=dense_row):
     outcomes = []
 
     def both(m, rows, lines, units=()):
         got = PACKED_ZERO_SUM(m, rows, lines, units)
-        assert got == dense_zero_sum(m, lines, units)
+        assert got == dense_zero_sum(m, lines, units, row)
         outcomes.append(got)
         return got
 
@@ -347,16 +359,22 @@ def _zero_sums_against_dense(monkeypatch, n):
 def test_packed_zero_sum_against_dense_sum(monkeypatch):
     outcomes = _zero_sums_against_dense(monkeypatch, 5)
     assert len(outcomes) > 200 and all(outcomes)
-    # one row U({2,3,5}, 3) off by one in one coordinate
+    # one row U({2,3,5}, 3) off by one in one coordinate, [n], in both forms
     row = certs._u_row
     bad = (0b10110, 3)
 
     def corrupted(n, smask, d):
         out = row(n, smask, d)
         if (smask, d) == bad:
+            out += 1 << certs._PACK_BITS * (2 ** n - 2)
+        return out
+
+    def dense_corrupted(n, smask, d):
+        out = dense_row(n, smask, d)
+        if (smask, d) == bad:
             out[-1] += 1
         return out
 
     monkeypatch.setattr(certs, "_u_row", corrupted)
-    outcomes = _zero_sums_against_dense(monkeypatch, 5)
+    outcomes = _zero_sums_against_dense(monkeypatch, 5, dense_corrupted)
     assert 0 < outcomes.count(False) < len(outcomes)

@@ -1,5 +1,6 @@
 """The package surface: exported names and what an import loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +40,44 @@ def test_cli_import_loads_no_dataclasses():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def _private_names_never_referenced(sources: dict[str, str]) -> list[str]:
+    """Module-level _names (functions, classes, constants) no module refers to."""
+    defined, used = [], set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [f"{module}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [name for name in defined if name.split(".")[1] not in used]
+
+
+def test_no_dead_private_helper():
+    src = Path(rankineq.__file__).resolve().parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(src.glob("*.py"))}
+    assert _private_names_never_referenced(sources) == []
+
+
+def test_dead_private_helper_check_sees_leftovers():
+    # a constant, a function and a class that nothing reads are all caught;
+    # one read from another module, or through an attribute, is not
+    sources = {"a": "_PARITY = 1\n_USED = 2\ndef _f(): pass\nclass _C: pass\n"
+                    "def _g(): return _h\ndef _h(): pass\n",
+               "b": "from .a import _USED\nimport a\nx = a._g\n"}
+    assert _private_names_never_referenced(sources) == ["a._PARITY", "a._f", "a._C"]
