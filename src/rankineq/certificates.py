@@ -362,33 +362,34 @@ def verify_line_identities(n: int) -> CertificateReport:
         return [amask for amask in range(mask, full + 1) if amask & mask == mask]
 
     def identities() -> Iterator[tuple[str, list, list, Callable[[], str]]]:
-        """(family, lines, units, failure line); a failure line runs before the next."""
+        """(family, lines, units, failure line); each failure line binds its values."""
         # splitting: U(S, d) with d >= |S| decomposes into single lines
         for smask in range(1 << n):
             lines = [(1 << i, 1, -1) for i in range(n) if smask >> i & 1]
             for d in range(max(1, smask.bit_count()), n + 1):
                 yield ("splitting", [(smask, d, 1)] + lines, [],
-                       lambda: f"splitting fails for S={sub(smask)!r}, d={d}")
+                       lambda smask=smask, d=d: f"splitting fails for S={sub(smask)!r}, d={d}")
         yield ("top-and-coatoms", [(full, n, 1), (full, n - 1, -1)], [(full, -1)],
                lambda: "top identity fails: e_[n] != U([n],n) - U([n],n-1)")
         for i in range(n):
             smask = full ^ (1 << i)
             yield ("top-and-coatoms",
                    [(full, n - 1, 1), (smask, n - 2, -1), (1 << i, 1, -1)],
-                   [(smask, -1)], lambda: f"coatom identity fails for S={sub(smask)!r}")
+                   [(smask, -1)],
+                   lambda smask=smask: f"coatom identity fails for S={sub(smask)!r}")
         # Mobius expansion of e_S for |S| <= n - 2; U(A, 0) is the zero vector
         for smask in range(1, 1 << n):
             if smask.bit_count() <= n - 2:
                 S = sub(smask)
                 yield ("mobius", [(amask, amask.bit_count() - 1, -mobius(S, sub(amask)))
                                   for amask in supersets(smask)],
-                       [(smask, -1)], lambda: f"Mobius expansion fails for S={S!r}")
+                       [(smask, -1)], lambda S=S: f"Mobius expansion fails for S={S!r}")
         # triples: U(T,3) - U(T,2) is the indicator sum over supersets
         for tmask in range(1, 1 << n):
             if tmask.bit_count() == 3:
                 yield ("triples", [(tmask, 3, 1), (tmask, 2, -1)],
                        [(amask, -1) for amask in supersets(tmask)],
-                       lambda: f"triple identity fails for {sub(tmask)!r}")
+                       lambda tmask=tmask: f"triple identity fails for {sub(tmask)!r}")
         # four-term identity on random (T, a, b)
         rng = random.Random(74099 + n)
         checked = 0
@@ -403,8 +404,8 @@ def verify_line_identities(n: int) -> CertificateReport:
             yield ("four-term", [(tmask | 1 << a, 1, 1), (tmask | 1 << b, 1, 1),
                                  (tmask, 1, -1), (tmask | ab, 1, -1)],
                    [(amask, -1) for amask in supersets(ab) if not amask & tmask],
-                   lambda: f"four-term identity fails for T={sub(tmask)!r}, "
-                           f"a={a + 1}, b={b + 1}")
+                   lambda tmask=tmask, a=a, b=b: f"four-term identity fails for "
+                                                 f"T={sub(tmask)!r}, a={a + 1}, b={b + 1}")
 
     failures: list[str] = []
     counts: dict[str, int] = {}
@@ -442,7 +443,8 @@ def facet_rank(n: int) -> tuple[int, int]:
     the nonzero generator, so that family's rank over QQ is at most 2^n - 2,
     and its rank over GF(2) is no larger: one that reaches 2^n - 2 is exact.
     The GF(2) rows are the parity bits of the packed _u_row, the low bit of
-    each slot, so they have the rank of the 0/1 rows.  The span is then
+    each slot, moved to bit A - 1 so that the sweep XORs rows of one bit per
+    coordinate, not of _PACK_BITS; they are the 0/1 rows mod 2.  The span is then
     ker kinser(n), so the full family has rank 2^n - 1 if some U(S, d) pairs
     to nonzero, exactly, else 2^n - 2.  A GF(2) rank that stops short is
     recomputed by one elimination over QQ, which goes on to the other rows
@@ -459,7 +461,11 @@ def facet_rank(n: int) -> tuple[int, int]:
     ncols = (1 << n) - 1
     family = [(smask, d) for smask in range(1, 1 << n) for d in range(1, n + 1)]
     low = ((1 << _PACK_BITS * ncols) - 1) // ((1 << _PACK_BITS) - 1)  # 1 in each slot
-    if _gf2_rank((_u_row(n, S.bits, d) & low for S, d in kernel), ncols - 1) < ncols - 1:
+    w = _PACK_BITS // 8
+    digits = bytes.maketrans(b"\0\1", b"01")  # the last byte of each slot, as a binary digit
+    parities = (int((_u_row(n, S.bits, d) & low).to_bytes(w * ncols, "big")[w - 1::w]
+                    .translate(digits), 2) for S, d in kernel)
+    if _gf2_rank(parities, ncols - 1) < ncols - 1:
         ech = Echelon(RATIONAL, ncols)
         kernel_rank = ech.extend(uniform_U(n, S, d).values_by_mask()[1:] for S, d in kernel)
         ech.extend(uniform_U(n, SubsetRef(n, smask), d).values_by_mask()[1:]

@@ -23,7 +23,7 @@ from .functionals import (Functional, PairingTable, basic_functionals, kinser,
 from .maps import UnionMap, pullback, pushforward
 from .setfunctions import (SetFunction, in_polymatroid_cone, is_connected,
                            is_integral, is_matroid)
-from .subsets import _CANONICAL_KEY, check_digits
+from .subsets import check_digits, parse_int_list
 
 
 def _load_json(path: str) -> object:
@@ -71,9 +71,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_gen_kinser(args: argparse.Namespace) -> int:
     f = kinser(args.n)
     if args.permute is not None:
-        if _CANONICAL_KEY(args.permute) is None:  # integers as str() writes them
-            raise ValueError(f"malformed permutation {args.permute!r}")
-        f = permute_functional(f, [int(x) for x in check_digits(args.permute).split(",")])
+        f = permute_functional(f, parse_int_list(args.permute, "permutation"))
     _emit(f.dumps(), args.output)
     return 0
 

@@ -13,7 +13,8 @@ from typing import Iterable, Iterator
 MAX_GROUND_SET = 20
 # Longest run of digits read: int() takes time quadratic in its length.
 MAX_DIGITS = 4300
-_LONG_RUN = re.compile(rf"\d{{{MAX_DIGITS + 1}}}").search
+# Matched only at the start of a run, so a scan is linear in the text.
+_LONG_RUN = re.compile(rf"(?<!\d)\d{{{MAX_DIGITS + 1}}}").search
 
 # Integers as str() writes them; int() also takes " 1", "+1", "01", "1_0", "\u0661".
 _CANONICAL_KEY = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*").fullmatch
@@ -133,11 +134,16 @@ def format_subset(S: SubsetRef) -> str:
     return ",".join(str(i) for i in S.elements())
 
 
+def parse_int_list(text: str, what: str) -> list[int]:
+    """Integers from "a,b,c" spelled as str() writes them; ValueError names what."""
+    if _CANONICAL_KEY(text) is None:
+        raise ValueError(f"malformed {what} {text!r}")
+    return [int(p) for p in check_digits(text).split(",")]
+
+
 def parse_subset(n: int, text: str) -> SubsetRef:
     """Parse the text form; accepts only keys spelled as format_subset writes them."""
-    if _CANONICAL_KEY(text) is None:
-        raise ValueError(f"malformed subset key {text!r}")
-    values = [int(p) for p in check_digits(text).split(",")]
+    values = parse_int_list(text, "subset key")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"subset key not strictly increasing: {text!r}")
     return SubsetRef.from_elements(n, values)

@@ -374,8 +374,8 @@ def test_facet_full_rank_comes_from_an_exact_pairing(monkeypatch):
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_facet_sweep_reduces_the_parity_bits_of_the_packed_rows(monkeypatch, n):
-    # bit w(A - 1) of each swept row is min(d, |A meet S|) mod 2, and no
-    # other bit is set: the oracle's bit A - 1, moved to the low bit of slot A
+    # bit A - 1 of each swept row is min(d, |A meet S|) mod 2, the low bit of
+    # slot A of the packed row, and no other bit is set: the oracle's row
     swept = []
     sweep = certs._gf2_rank
 
@@ -385,12 +385,7 @@ def test_facet_sweep_reduces_the_parity_bits_of_the_packed_rows(monkeypatch, n):
 
     monkeypatch.setattr(certs, "_gf2_rank", spy)
     assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
-    w = certs._PACK_BITS
-
-    def spread(bits):
-        return sum(1 << w * j for j in range(bits.bit_length()) if bits >> j & 1)
-
-    assert swept == [[spread(gf2_row(n, S.bits, d)) for S, d in vanishing_family(n)]]
+    assert swept == [[gf2_row(n, S.bits, d) for S, d in vanishing_family(n)]]
 
 
 def test_facet_rank_top_of_range():

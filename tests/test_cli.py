@@ -205,21 +205,32 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/x.json"]) == 2
 
 
-def test_eval_prints_results_longer_than_the_literal_cap(files, capsys):
+def _eval_nines_squared(files):
     # (10^4000 - 1)^2 has 8,000 digits, past Python's default str() limit
     nines = "9" * 4000
     f = files("f.json", '{"n": 1, "coeffs": {"1": "%s"}}' % nines)
     p = files("p.json", '{"n": 1, "values": {"1": %s}}' % nines)
-    outer = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        assert main(["eval", "--functional", f, "--point", p]) == 0
-        limit = sys.get_int_max_str_digits()
-    finally:
-        sys.set_int_max_str_digits(outer)
+    return main(["eval", "--functional", f, "--point", p])
+
+
+def test_eval_prints_results_longer_than_the_literal_cap(files, capsys):
+    assert _eval_nines_squared(files) == 0
     captured = capsys.readouterr()
     assert captured.out == "9" * 3999 + "8" + "0" * 3999 + "1\n"
     assert captured.err == ""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str limit before Python 3.10.7")
+def test_eval_restores_the_int_to_str_limit(files, capsys):
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert _eval_nines_squared(files) == 0
+        limit = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(outer)
+    assert capsys.readouterr().out == "9" * 3999 + "8" + "0" * 3999 + "1\n"
     assert limit == 4300  # main restores the caller's limit
 
 
@@ -229,7 +240,11 @@ def test_eval_prints_results_longer_than_the_literal_cap(files, capsys):
     ("point", '{"n": 1, "values": {"1": "%s/7"}}' % ("9" * 5000)),
     ("point", '{"n": 1, "values": {"%s": 1}}' % ("9" * 5000)),
     ("functional", '{"n": 1, "coeffs": {"1": "7/%s"}}' % ("9" * 5000)),
-], ids=["json-int", "negative-json-int", "numerator", "subset-key", "denominator"])
+    # Fraction reads "9_9" as 99: the underscores do not split a literal
+    ("point", '{"n": 1, "values": {"1": "%s/7"}}' % ("9_" * 5000 + "9")),
+    ("functional", '{"n": 1, "coeffs": {"1": "7/%s"}}' % ("9_" * 5000 + "9")),
+], ids=["json-int", "negative-json-int", "numerator", "subset-key", "denominator",
+        "underscored-numerator", "underscored-denominator"])
 def test_over_long_literal_is_usage_error(files, capsys, which, text):
     paths = {"functional": files("f.json", Functional.unit(1, [1]).to_json_obj()),
              "point": files("p.json", SetFunction.zero(1).to_json_obj())}

@@ -1,11 +1,13 @@
 """Subset algebra against a naive element-set model, plus Mobius properties."""
 
+import time
 from itertools import combinations
 
 import pytest
 
-from rankineq.subsets import (SubsetRef, all_subsets, format_subset, mobius,
-                              nonempty_subsets, parse_subset, subset)
+from rankineq.subsets import (SubsetRef, all_subsets, check_digits, format_subset,
+                              mobius, nonempty_subsets, parse_int_list, parse_subset,
+                              subset)
 
 
 def test_constructor_examples():
@@ -116,6 +118,30 @@ NON_CANONICAL = ["01,2", " 1,2", "+1,2", "1,2 ", "\u0661,2", "1, 2", "1_0"]
 def test_text_form_accepts_only_the_canonical_spelling(text):
     with pytest.raises(ValueError, match="malformed subset key"):
         parse_subset(12, text)
+
+
+def test_int_list_reads_the_canonical_spelling():
+    assert parse_int_list("3,-1,0,12", "permutation") == [3, -1, 0, 12]
+    assert parse_int_list("9" * 4300, "x") == [int("9" * 4300)]
+    with pytest.raises(ValueError, match="longer than 4300 digits"):
+        parse_int_list("1," + "9" * 4301, "x")
+
+
+def test_digit_check_counts_each_run():
+    for text in ("9" * 4301, "1/" + "9" * 4301, "\u0664" * 4301, "x" + "9" * 5000 + "y"):
+        with pytest.raises(ValueError, match="longer than 4300 digits"):
+            check_digits(text)
+    for text in ("9" * 4300, "9" * 4300 + "/" + "9" * 4300, "9" * 4300 + "_9"):
+        assert check_digits(text) == text
+
+
+def test_digit_check_is_linear_in_the_text():
+    # 50 runs just under the cap: a search that restarts inside each run
+    # reads every run 4,300 times over, seconds of work instead of milliseconds
+    text = ("9" * 4300 + ",") * 50
+    start = time.process_time()
+    assert check_digits(text) == text
+    assert time.process_time() - start < 1.0
 
 
 def test_elements_must_be_integers_not_bools():
