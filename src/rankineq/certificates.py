@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .arrangements import sum_echelons, uniform_U
 from .functionals import kinser
 from .linalg import RATIONAL, Echelon, Scalar
-from .maps import UnionMap, hierarchy_map, pullback, pushforward
+from .maps import UnionMap, hierarchy_map, pushforward
 from .setfunctions import SetFunction
 from .subsets import SubsetRef, mobius, nonempty_subsets
 
@@ -137,17 +137,39 @@ def _choose_w1(n: int, cmask: int, blocks: dict, T: SetFunction) -> list[list[in
     raise AssertionError(f"unhandled substitution image {cset}")
 
 
+def _pullback_values(T: SetFunction, cmask: int) -> tuple[Scalar, ...]:
+    """phi^*T by mask for phi(1) = cmask, phi(i) = {i+1} (i >= 2), read off T.
+
+    Mask 2m + b of [n-1] maps to (2m << 1) | (cmask if b else 0).
+    """
+    vals = T.values_by_mask()
+    return tuple(vals[m << 2 | c] for m in range(1 << (T.n - 2)) for c in (0, cmask))
+
+
 def _witness_ranks(fixed: Sequence[Echelon], dim: int,
                    w1: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Rank function of (W_1, ..., W_{n-1}); fixed[m] spans W_{i+2}, i in m.
 
-    Mask 2m + 1 extends a copy of fixed[m] by W_1, unless it spans everything.
+    W_1 is reduced once, in fixed's field, to its basis rows.  Mask 2m + 1
+    extends a copy of fixed[m] by those rows, unless fixed[m] or W_1 alone
+    spans everything.  Each elimination stops once it reaches rank dim.
     """
+    basis = _span(Echelon(fixed[0].field, dim), w1)
     vals = []
     for ech in fixed:
-        odd = dim if ech.rank == dim else ech.rank + ech.copy().extend(w1)
+        odd = dim
+        if ech.rank < dim and basis.rank < dim:
+            odd = _span(ech.copy(), basis.rows).rank
         vals += (ech.rank, odd)
     return tuple(vals)
+
+
+def _span(ech: Echelon, rows: Iterable[Sequence[int]]) -> Echelon:
+    """ech extended by rows, up to the first that brings it to full rank."""
+    for row in rows:
+        if ech.add(row) and ech.rank == ech.ncols:
+            break
+    return ech
 
 
 def verify_witness_realizations(n: int, T: SetFunction | None = None) -> CertificateReport:
@@ -158,7 +180,8 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
     must have the pulled-back witness as its rank function exactly.  The
     substitutions, their pullbacks and W_1 do not depend on the field and
     are built once.  In each field the echelons of all sums of W_2, ...,
-    W_{n-1} are built once, and each distinct W_1 extends them.
+    W_{n-1} are built once, and each distinct W_1 is reduced once and
+    extends them.
     """
     _check_n("witness", n)
     if T is None:
@@ -167,23 +190,20 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
         raise ValueError(f"witness over ground set {T.n}, expected {n}")
     blocks = _witness_blocks(n)
     dim = blocks["dim"]
-    tail = [[i + 1] for i in range(2, n)]  # phi(i) = {i+1} for i >= 2
-    substitutions = []  # (phi(1), pullback values, W_1), in every field
+    w1s: dict[tuple, int] = {}  # each distinct W_1, numbered as first seen
+    substitutions = []  # (phi(1), pullback values, number of W_1), in every field
     for cmask in range(1 << n):
-        expected = pullback(UnionMap(n - 1, n, [SubsetRef(n, cmask)] + tail), T)
-        substitutions.append((cmask, expected.values_by_mask(),
-                              _choose_w1(n, cmask, blocks, T)))
+        w1 = tuple(map(tuple, _choose_w1(n, cmask, blocks, T)))
+        substitutions.append((cmask, _pullback_values(T, cmask),
+                              w1s.setdefault(w1, len(w1s))))
     failures: list[str] = []
     sum_realized = False
     cases = 0
     for fld, fld_name in ((RATIONAL, "rationals"), (2, "GF(2)"), (3, "GF(3)")):
         fixed = sum_echelons(fld, dim, [blocks["W"][i] for i in range(2, n)])
-        ranks: dict[tuple, tuple[int, ...]] = {}
-        for cmask, expected, w1 in substitutions:
-            key = tuple(map(tuple, w1))
-            got = ranks.get(key)
-            if got is None:
-                got = ranks[key] = _witness_ranks(fixed, dim, w1)
+        ranks = [_witness_ranks(fixed, dim, w1) for w1 in w1s]
+        for cmask, expected, i in substitutions:
+            got = ranks[i]
             cases += 1
             if got != expected:
                 m = next(m for m, (g, w) in enumerate(zip(got, expected)) if g != w)
@@ -463,8 +483,10 @@ def facet_rank(n: int) -> tuple[int, int]:
     low = ((1 << _PACK_BITS * ncols) - 1) // ((1 << _PACK_BITS) - 1)  # 1 in each slot
     w = _PACK_BITS // 8
     digits = bytes.maketrans(b"\0\1", b"01")  # the last byte of each slot, as a binary digit
-    parities = (int((_u_row(n, S.bits, d) & low).to_bytes(w * ncols, "big")[w - 1::w]
-                    .translate(digits), 2) for S, d in kernel)
+    # U(S, d) = U(S, |S|) for d >= |S|: each distinct row is swept once
+    rows = dict.fromkeys((S.bits, min(d, S.bits.bit_count())) for S, d in kernel)
+    parities = (int((_u_row(n, smask, d) & low).to_bytes(w * ncols, "big")[w - 1::w]
+                    .translate(digits), 2) for smask, d in rows)
     if _gf2_rank(parities, ncols - 1) < ncols - 1:
         ech = Echelon(RATIONAL, ncols)
         kernel_rank = ech.extend(uniform_U(n, S, d).values_by_mask()[1:] for S, d in kernel)

@@ -10,6 +10,7 @@ where values need not be integral.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -27,16 +28,26 @@ def _as_mask(n: int, key: SubsetKey) -> int:
     return SubsetRef.from_elements(n, key).bits
 
 
+# An integer or p/q in ASCII digits, no leading zeros, "-" the only sign.
+_CANONICAL_VALUE = re.compile(r"0|-?[1-9][0-9]*(?:/[1-9][0-9]*)?").fullmatch
+
+
 def parse_value(raw: object) -> Scalar:
-    """Exact value from a JSON scalar: int, or a rational string like "-7/2"."""
+    """Exact value from a JSON scalar, in the one spelling str() gives it.
+
+    A JSON int, or a string: an integer like "-7", or a fraction like
+    "-7/2" in lowest terms with denominator at least 2, as format_value
+    writes a non-integer.
+    """
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    if isinstance(raw, str) and "e" not in raw.lower():  # "1e9999999": 10^7 digits
-        check_digits(raw.replace("_", ""))  # Fraction reads "9_9" as 99
-        try:
-            return normalize_scalar(Fraction(raw), RATIONAL)
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(raw, str):
+        check_digits(raw.replace("_", ""))  # "9_9" is one run of digits too
+        if _CANONICAL_VALUE(raw):
+            value = Fraction(raw)
+            if str(value) != raw:  # "6/4" or "2/1"
+                raise ValueError(f"not in lowest terms with denominator >= 2: {raw!r}")
+            return normalize_scalar(value, RATIONAL)
     raise ValueError(f"not an exact rational: {raw!r}")
 
 

@@ -43,3 +43,17 @@ def gf2_row(n: int, smask: int, d: int) -> int:
     """
     return sum(1 << (mask - 1) for mask in range(1, 1 << n)
                if min(d, (mask & smask).bit_count()) & 1)
+
+
+def witness_ranks_from_raw_rows(fixed, dim, w1):
+    """Rank function of (W_1, ..., W_{n-1}); fixed[m] spans W_{i+2}, i in m.
+
+    The reference for ``certificates._witness_ranks``, which reduces W_1
+    once to its basis rows: mask 2m + 1 extends a copy of fixed[m] by every
+    raw row of W_1, unless fixed[m] spans everything.
+    """
+    vals = []
+    for ech in fixed:
+        odd = dim if ech.rank == dim else ech.rank + ech.copy().extend(w1)
+        vals += (ech.rank, odd)
+    return tuple(vals)

@@ -375,7 +375,9 @@ def test_facet_full_rank_comes_from_an_exact_pairing(monkeypatch):
 @pytest.mark.parametrize("n", range(4, 9))
 def test_facet_sweep_reduces_the_parity_bits_of_the_packed_rows(monkeypatch, n):
     # bit A - 1 of each swept row is min(d, |A meet S|) mod 2, the low bit of
-    # slot A of the packed row, and no other bit is set: the oracle's row
+    # slot A of the packed row, and no other bit is set: the oracle's row.
+    # U(S, d) = U(S, |S|) for d >= |S|, so each distinct row is swept once,
+    # in the order the vanishing family first reaches it
     swept = []
     sweep = certs._gf2_rank
 
@@ -385,7 +387,23 @@ def test_facet_sweep_reduces_the_parity_bits_of_the_packed_rows(monkeypatch, n):
 
     monkeypatch.setattr(certs, "_gf2_rank", spy)
     assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
-    assert swept == [[gf2_row(n, S.bits, d) for S, d in vanishing_family(n)]]
+    distinct = dict.fromkeys((S.bits, min(d, len(S))) for S, d in vanishing_family(n))
+    assert swept == [[gf2_row(n, smask, d) for smask, d in distinct]]
+
+
+@pytest.mark.parametrize("n,rows", [(7, 337), (8, 783)])
+def test_facet_sweep_consumes_each_distinct_row_once(monkeypatch, n, rows):
+    # pinned, and below the 778 and 1,799 rows that the family's own order
+    # reaches, most of them repeats of U(S, |S|) at some d > |S|
+    consumed = []
+    sweep = certs._gf2_rank
+
+    def spy(it, stop):
+        return sweep((consumed.append(row) or row for row in it), stop)
+
+    monkeypatch.setattr(certs, "_gf2_rank", spy)
+    assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
+    assert len(consumed) == len(set(consumed)) == rows
 
 
 def test_facet_rank_top_of_range():
@@ -470,6 +488,24 @@ def test_witness_realizations_build_no_arrangement(monkeypatch):
     monkeypatch.setattr(certs, "rank_function", forbidden, raising=False)
     monkeypatch.setattr(certs, "Arrangement", forbidden, raising=False)
     assert verify_witness_realizations(6).passed
+
+
+@pytest.mark.parametrize("n,adds", [(7, 3282), (8, 6072)])
+def test_witness_realizations_insert_each_basis_row_once(monkeypatch, n, adds):
+    # each distinct W_1 is reduced once per field, and a copy of a fixed sum
+    # takes only W_1's basis rows, up to full rank: pinned, and below the
+    # 14,385 and 45,198 insertions of extending the copies by W_1's raw rows
+    calls = []
+    add = Echelon.add
+
+    def spy(self, vec):
+        calls.append(self.field)
+        return add(self, vec)
+
+    monkeypatch.setattr(Echelon, "add", spy)
+    assert verify_witness_realizations(n).passed
+    assert len(calls) == adds
+    assert set(calls) == {0, 2, 3}  # exact elimination in each field
 
 
 def test_witness_arrangement_field_independent():

@@ -18,8 +18,9 @@ from rankineq.linalg import RATIONAL, Echelon, ExactMatrix
 from rankineq.subsets import SubsetRef
 from rankineq.maps import UnionMap, pullback, pushforward
 from rankineq.functionals import Functional
+from rankineq.setfunctions import SetFunction
 
-from oracles import gf2_row
+from oracles import gf2_row, witness_ranks_from_raw_rows
 
 
 def naive_rank_fractions(rows):
@@ -317,6 +318,38 @@ def test_witness_ranks_against_rank_function():
                 want = rank_function(Arrangement(field, dim, [w1] + fixed))
                 assert tuple(certs._witness_ranks(states, dim, w1)) == \
                     want.values_by_mask()
+
+
+def test_witness_ranks_against_raw_row_extension():
+    # each distinct W_1 is reduced once to its basis rows; extending every
+    # fixed sum by all of W_1's raw rows must give the same rank function,
+    # for every phi(1), in each field the certificate uses and one it does not
+    for n in range(4, 9):
+        blocks = certs._witness_blocks(n)
+        dim, T = blocks["dim"], certs.witness_T(n)
+        fixed = [blocks["W"][i] for i in range(2, n)]
+        w1s = {tuple(map(tuple, certs._choose_w1(n, cmask, blocks, T)))
+               for cmask in range(2 ** n)}  # the rank function depends on W_1 alone
+        for field in (RATIONAL, 2, 3, 5):
+            states = sum_echelons(field, dim, fixed)
+            for w1 in w1s:
+                assert certs._witness_ranks(states, dim, w1) == \
+                    witness_ranks_from_raw_rows(states, dim, w1)
+
+
+def test_pullback_values_against_union_map_pullback():
+    # phi(1) = cmask, phi(i) = {i+1} for i >= 2, read off T's table by mask;
+    # the tampered T has pairwise distinct values, so any misread mask shows
+    for n in range(4, 9):
+        tail = [[i + 1] for i in range(2, n)]
+        witness = certs.witness_T(n)
+        tampered = SetFunction(n, [v + (n + 1) * mask
+                                   for mask, v in enumerate(witness.values_by_mask())])
+        for T in (witness, tampered):
+            for cmask in range(2 ** n):
+                phi = UnionMap(n - 1, n, [SubsetRef(n, cmask)] + tail)
+                assert certs._pullback_values(T, cmask) == \
+                    pullback(phi, T).values_by_mask()
 
 
 def dense_row(n, smask, d):

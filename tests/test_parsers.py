@@ -10,6 +10,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from rankineq.arrangements import Arrangement
 from rankineq.cli import main
 from rankineq.functionals import Functional
 from rankineq.maps import UnionMap, hierarchy_map
-from rankineq.setfunctions import SetFunction
+from rankineq.setfunctions import SetFunction, format_value, parse_value
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -26,13 +27,16 @@ NOT_INT = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
            | st.lists(st.integers(), max_size=2)
            | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 NOT_DICT = NOT_INT.filter(lambda x: not isinstance(x, dict))
-# no valid value: a string without digits, or one of the near misses
+# no valid value: a string without digits, or one of the near misses,
+# spellings of a rational that format_value never writes among them
 NOT_NUMBER = (st.none() | st.booleans() | st.floats()
               | st.lists(st.integers(), max_size=2)
               | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
               | st.text(alphabet="ab ,./-+_eE", max_size=6)
               | st.sampled_from(["1/0", "1e3", "1E-2", "0x10", "1/2/3", "--1",
-                                 "9" * 4301, "1/" + "9" * 4301]))
+                                 "9" * 4301, "1/" + "9" * 4301,
+                                 " 3/4 ", "+2", "1_000", "\u0661", "1.5", "6/4",
+                                 "2/1", "-0", "01"]))
 # no valid subset key of a ground set with at most 3 elements
 BAD_KEY = (st.text(alphabet="ab ,-_+", max_size=4)
            | st.sampled_from(["", "0", "4", "2,1", "1,1", "01", " 1", "1,",
@@ -188,3 +192,37 @@ def test_cli_exits_2_with_one_line_on_malformed_files(workdir, kind, data):
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert "Traceback" not in err.getvalue()
+
+
+def _canonical(text):
+    """Whether text is str() of the rational it spells, as format_value writes it."""
+    try:
+        return str(Fraction(text)) == text
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+# near misses of every kind: stray characters, signs, spaces, underscores,
+# other digits, decimals, leading zeros, and fractions not in lowest terms
+SPELLINGS = (st.text(alphabet="0123456789-+/_ .e\u0661", max_size=6)
+             | st.fractions().map(str)
+             | st.builds(lambda v, k: f"{v.numerator * k}/{v.denominator * k}",
+                         st.fractions(), st.integers(1, 9)))
+
+
+@SETTINGS
+@given(value=st.fractions())
+def test_parse_value_reads_back_what_format_value_writes(value):
+    assert parse_value(format_value(value)) == value
+    assert parse_value(str(value)) == value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=SPELLINGS)
+def test_parse_value_reads_only_canonical_spellings(text):
+    try:
+        value = parse_value(text)
+    except ValueError:
+        assert not _canonical(text)
+    else:
+        assert _canonical(text) and value == Fraction(text)
