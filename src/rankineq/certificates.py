@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import random
-from functools import partial
+from functools import cache, partial, reduce
+from operator import xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangements import sum_echelons, uniform_U
@@ -118,10 +119,9 @@ def _choose_w1(n: int, cmask: int, blocks: dict, T: SetFunction) -> list[list[in
     match phi(i) = {i+1}); the five-entry table; everything with witness
     value n gets the whole space.
     """
-    elems = [i for i in range(1, n + 1) if cmask >> (i - 1) & 1]
     if not cmask & 0b11:
-        return [row for j in elems for row in blocks["W"][j - 1]]
-    cset = set(elems)
+        return _fixed_rows(blocks, cmask >> 2)
+    cset = {i for i in range(1, n + 1) if cmask >> (i - 1) & 1}
     if cset == {1}:
         return blocks["Z1"]
     if cset == {2}:
@@ -130,11 +130,16 @@ def _choose_w1(n: int, cmask: int, blocks: dict, T: SetFunction) -> list[list[in
         return blocks["Z1"] + blocks["W"][2]
     if cset == {1, n}:
         return blocks["Z1"] + blocks["W"][n - 1]
-    if len(elems) == 2 and 2 in cset and max(cset) >= 3:
+    if len(cset) == 2 and 2 in cset and max(cset) >= 3:
         return blocks["Z2"] + blocks["W"][max(cset) - 1]
     if T.value_at(cmask) == T.n:
         return blocks["full"]
     raise AssertionError(f"unhandled substitution image {cset}")
+
+
+def _fixed_rows(blocks: dict, m: int) -> list[list[int]]:
+    """The rows of the fixed subspaces W_{i+2}, i in m, concatenated."""
+    return [row for i in range(m.bit_length()) if m >> i & 1 for row in blocks["W"][i + 2]]
 
 
 def _pullback_values(T: SetFunction, cmask: int) -> tuple[Scalar, ...]:
@@ -164,6 +169,11 @@ def _witness_ranks(fixed: Sequence[Echelon], dim: int,
     return tuple(vals)
 
 
+def _sum_ranks(fixed: Sequence[Echelon], m1: int) -> tuple[int, ...]:
+    """_witness_ranks for W_1 = the fixed W_{i+2}, i in m1: W_1 + fixed[m] is fixed[m | m1]."""
+    return tuple(r for m, ech in enumerate(fixed) for r in (ech.rank, fixed[m | m1].rank))
+
+
 def _span(ech: Echelon, rows: Iterable[Sequence[int]]) -> Echelon:
     """ech extended by rows, up to the first that brings it to full rank."""
     for row in rows:
@@ -180,8 +190,9 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
     must have the pulled-back witness as its rank function exactly.  The
     substitutions, their pullbacks and W_1 do not depend on the field and
     are built once.  In each field the echelons of all sums of W_2, ...,
-    W_{n-1} are built once, and each distinct W_1 is reduced once and
-    extends them.
+    W_{n-1} are built once.  A W_1 that is itself such a sum, as in the sum
+    case, reads its ranks off them; each other distinct W_1 is reduced once
+    and extends them.
     """
     _check_n("witness", n)
     if T is None:
@@ -191,17 +202,21 @@ def verify_witness_realizations(n: int, T: SetFunction | None = None) -> Certifi
     blocks = _witness_blocks(n)
     dim = blocks["dim"]
     w1s: dict[tuple, int] = {}  # each distinct W_1, numbered as first seen
+    sums: dict[int, int] = {}  # number of a W_1 -> m, when it is the fixed W_{i+2}, i in m
     substitutions = []  # (phi(1), pullback values, number of W_1), in every field
     for cmask in range(1 << n):
-        w1 = tuple(map(tuple, _choose_w1(n, cmask, blocks, T)))
-        substitutions.append((cmask, _pullback_values(T, cmask),
-                              w1s.setdefault(w1, len(w1s))))
+        rows = _choose_w1(n, cmask, blocks, T)
+        i = w1s.setdefault(tuple(map(tuple, rows)), len(w1s))
+        if not cmask & 0b11 and rows == _fixed_rows(blocks, cmask >> 2):
+            sums[i] = cmask >> 2
+        substitutions.append((cmask, _pullback_values(T, cmask), i))
     failures: list[str] = []
     sum_realized = False
     cases = 0
     for fld, fld_name in ((RATIONAL, "rationals"), (2, "GF(2)"), (3, "GF(3)")):
         fixed = sum_echelons(fld, dim, [blocks["W"][i] for i in range(2, n)])
-        ranks = [_witness_ranks(fixed, dim, w1) for w1 in w1s]
+        ranks = [_sum_ranks(fixed, sums[i]) if i in sums else _witness_ranks(fixed, dim, w1)
+                 for i, w1 in enumerate(w1s)]
         for cmask, expected, i in substitutions:
             got = ranks[i]
             cases += 1
@@ -327,15 +342,40 @@ def verify_vanishing(n: int) -> CertificateReport:
 # Identities between basis vectors and generic-line polymatroids
 
 
-_PACK_BITS = 16  # bits per coordinate of a packed row, a multiple of 8
+_PACK_BITS = 16  # bits per coordinate of a packed row
+
+
+@cache
+def _element_masks(n: int, w: int) -> tuple[int, ...]:
+    """M_i for i < n: 1 in the w-bit slot A, 0 <= A < 2^n, exactly when i is in A."""
+    full = (1 << (w << n)) - 1
+    masks = []
+    for i in range(n):
+        half = w << i  # 2^i slots
+        block = ((1 << half) - 1) // ((1 << w) - 1) << half  # slots 2^i .. 2^(i+1) - 1
+        masks.append(full // ((1 << 2 * half) - 1) * block)  # repeated every 2^(i+1) slots
+    return tuple(masks)
+
+
+def _layers(n: int, w: int, smask: int, d: int) -> list[int]:
+    """L_j = {A : |A meet S| >= j}, j = 1..min(d, |S|), as 1s in w-bit slots A.
+
+    min(d, |A meet S|) is the number of layers that hold A.
+    """
+    layers = [0] * min(d, smask.bit_count())
+    seen = 0
+    for i, m in enumerate(_element_masks(n, w)):
+        if layers and smask >> i & 1:
+            for j in range(min(seen, len(layers) - 1), 0, -1):
+                layers[j] |= layers[j - 1] & m
+            layers[0] |= m
+            seen += 1
+    return layers
 
 
 def _u_row(n: int, smask: int, d: int) -> int:
-    """U(S, d) in H_n, packed: min(d, |A meet S|) in the low byte of slot A - 1."""
-    buf = bytearray(_PACK_BITS // 8 * ((1 << n) - 1))
-    buf[::_PACK_BITS // 8] = [k if (k := (mask & smask).bit_count()) < d else d
-                              for mask in range(1, 1 << n)]
-    return int.from_bytes(buf, "little")
+    """U(S, d) in H_n, packed: min(d, |A meet S|) in slot A - 1, the layers summed."""
+    return sum(_layers(n, _PACK_BITS, smask, d)) >> _PACK_BITS
 
 
 def _zero_sum(n: int, rows: dict, lines: Sequence[tuple[int, int, int]],
@@ -455,6 +495,11 @@ def _gf2_rank(rows: Iterable[int], stop: int) -> int:
     return len(pivots)
 
 
+def _parity_row(n: int, smask: int, d: int) -> int:
+    """U(S, d) mod 2, one bit per coordinate: its layers XORed, bit A - 1 for A."""
+    return reduce(xor, _layers(n, 1, smask, d), 0) >> 1
+
+
 def facet_rank(n: int) -> tuple[int, int]:
     """Exact ranks of the generic-line families as vectors of H_n.
 
@@ -462,9 +507,9 @@ def facet_rank(n: int) -> tuple[int, int]:
     1 <= d <= n).  Each vanishing member is re-verified to pair to 0 with
     the nonzero generator, so that family's rank over QQ is at most 2^n - 2,
     and its rank over GF(2) is no larger: one that reaches 2^n - 2 is exact.
-    The GF(2) rows are the parity bits of the packed _u_row, the low bit of
-    each slot, moved to bit A - 1 so that the sweep XORs rows of one bit per
-    coordinate, not of _PACK_BITS; they are the 0/1 rows mod 2.  The span is then
+    Equal rows pair equally, so each distinct row is checked once.  The GF(2)
+    row of U(S, d) is the XOR of its layers at one bit per coordinate: bit
+    A - 1 holds min(d, |A meet S|) mod 2.  The span is then
     ker kinser(n), so the full family has rank 2^n - 1 if some U(S, d) pairs
     to nonzero, exactly, else 2^n - 2.  A GF(2) rank that stops short is
     recomputed by one elimination over QQ, which goes on to the other rows
@@ -473,21 +518,16 @@ def facet_rank(n: int) -> tuple[int, int]:
     _check_n("facet", n)
     terms = kinser(n).items()
     kernel = vanishing_family(n)
-    for S, d in kernel:
-        value = _pair_uniform(terms, S.bits, d)
+    # U(S, d) = U(S, |S|) for d >= |S|: each distinct row is checked and swept once
+    rows = dict.fromkeys((S.bits, min(d, S.bits.bit_count())) for S, d in kernel)
+    for smask, d in rows:
+        value = _pair_uniform(terms, smask, d)
         if value != 0:
-            raise RuntimeError(
-                f"vanishing family member U(S={S!r}, d={d}) pairs to {value}")
+            raise RuntimeError(f"vanishing family member U(S={SubsetRef(n, smask)!r}, "
+                               f"d={d}) pairs to {value}")
     ncols = (1 << n) - 1
     family = [(smask, d) for smask in range(1, 1 << n) for d in range(1, n + 1)]
-    low = ((1 << _PACK_BITS * ncols) - 1) // ((1 << _PACK_BITS) - 1)  # 1 in each slot
-    w = _PACK_BITS // 8
-    digits = bytes.maketrans(b"\0\1", b"01")  # the last byte of each slot, as a binary digit
-    # U(S, d) = U(S, |S|) for d >= |S|: each distinct row is swept once
-    rows = dict.fromkeys((S.bits, min(d, S.bits.bit_count())) for S, d in kernel)
-    parities = (int((_u_row(n, smask, d) & low).to_bytes(w * ncols, "big")[w - 1::w]
-                    .translate(digits), 2) for smask, d in rows)
-    if _gf2_rank(parities, ncols - 1) < ncols - 1:
+    if _gf2_rank((_parity_row(n, smask, d) for smask, d in rows), ncols - 1) < ncols - 1:
         ech = Echelon(RATIONAL, ncols)
         kernel_rank = ech.extend(uniform_U(n, S, d).values_by_mask()[1:] for S, d in kernel)
         ech.extend(uniform_U(n, SubsetRef(n, smask), d).values_by_mask()[1:]
@@ -577,10 +617,10 @@ def verify_basis_F(n: int, alpha: dict[int, int] | None = None,
 
 CERTIFICATES: dict[str, tuple[Callable[[int], CertificateReport], range]] = {
     "hierarchy": (verify_hierarchy, range(5, 21)),
-    "witness": (verify_witness_realizations, range(4, 9)),
+    "witness": (verify_witness_realizations, range(4, 11)),
     "vanishing": (verify_vanishing, range(4, 21)),
-    "identities": (verify_line_identities, range(4, 9)),
-    "facet": (verify_facet, range(4, 9)),
+    "identities": (verify_line_identities, range(4, 11)),
+    "facet": (verify_facet, range(4, 11)),
     "basis": (verify_basis_F, range(5, 8)),
 }
 

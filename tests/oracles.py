@@ -35,11 +35,23 @@ def is_polymatroid_all_pairs(P: SetFunction) -> bool:
     return is_integral(P) and in_polymatroid_cone_all_pairs(P)
 
 
+def dense_u_row(n: int, smask: int, d: int) -> int:
+    """U(S, d) packed from its dense list: min(d, |A meet S|) in 16-bit slot A - 1.
+
+    The reference for ``certificates._u_row``, which sums the layers
+    {A : |A meet S| >= j} built from element masks and builds no list.
+    """
+    buf = bytearray(2 * ((1 << n) - 1))
+    buf[::2] = [k if (k := (mask & smask).bit_count()) < d else d
+                for mask in range(1, 1 << n)]
+    return int.from_bytes(buf, "little")
+
+
 def gf2_row(n: int, smask: int, d: int) -> int:
     """U(S, d) mod 2 as one int: bit A - 1 holds min(d, |A meet S|) mod 2.
 
-    The reference for the rows of the facet sweep, which reads the same
-    parities off the low bit of each slot of the packed U(S, d).
+    The reference for the rows of the facet sweep, which XORs the same
+    layers as ``certificates._u_row`` at one bit per coordinate.
     """
     return sum(1 << (mask - 1) for mask in range(1, 1 << n)
                if min(d, (mask & smask).bit_count()) & 1)

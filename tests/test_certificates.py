@@ -19,7 +19,7 @@ from rankineq.maps import UnionMap
 from rankineq.setfunctions import SetFunction, is_matroid
 from rankineq.subsets import SubsetRef, mobius, subset
 
-from oracles import gf2_row, is_polymatroid_all_pairs
+from oracles import dense_u_row, gf2_row, is_polymatroid_all_pairs
 
 
 def test_witness_values_at_4():
@@ -77,7 +77,7 @@ def test_witness_realizations_domain():
     with pytest.raises(ValueError):
         verify_witness_realizations(3)
     with pytest.raises(ValueError):
-        verify_witness_realizations(9)
+        verify_witness_realizations(11)
 
 
 def test_witness_realizations_detect_tampering():
@@ -247,8 +247,8 @@ def test_line_identities_fail_on_a_corrupted_term(monkeypatch, elems, d, line, f
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_u_row_is_the_uniform_polymatroid(n):
-    # the identities sum these rows, and the facet sweep reduces their low
-    # bits mod 2; tie them to the public polymatroid, slot by slot
+    # the identities sum these rows, and the facet sweep XORs the same layers
+    # mod 2; tie them to the public polymatroid, slot by slot
     w = certs._PACK_BITS
     for smask in range(1 << n):
         for d in range(1, n + 2):
@@ -256,6 +256,23 @@ def test_u_row_is_the_uniform_polymatroid(n):
             row = certs._u_row(n, smask, d)
             assert [row >> w * j & (1 << w) - 1 for j in range(2 ** n - 1)] == list(want)
             assert row >> w * (2 ** n - 1) == 0
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_u_row_against_the_dense_row(n):
+    # the rows summed from element-mask layers are the packed dense lists,
+    # for every (S, d), d = 0 (the zero row) included
+    for smask in range(1 << n):
+        for d in range(n + 1):
+            assert certs._u_row(n, smask, d) == dense_u_row(n, smask, d)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_parity_row_against_gf2_row(n):
+    # the same layers XORed at one bit per coordinate are U(S, d) mod 2
+    for smask in range(1 << n):
+        for d in range(n + 1):
+            assert certs._parity_row(n, smask, d) == gf2_row(n, smask, d)
 
 
 def test_line_identities_build_each_row_once(monkeypatch):
@@ -374,8 +391,9 @@ def test_facet_full_rank_comes_from_an_exact_pairing(monkeypatch):
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_facet_sweep_reduces_the_parity_bits_of_the_packed_rows(monkeypatch, n):
-    # bit A - 1 of each swept row is min(d, |A meet S|) mod 2, the low bit of
-    # slot A of the packed row, and no other bit is set: the oracle's row.
+    # bit A - 1 of each swept row is min(d, |A meet S|) mod 2, the layers of
+    # U(S, d) XORed at one bit per coordinate, and no other bit is set: the
+    # oracle's row.
     # U(S, d) = U(S, |S|) for d >= |S|, so each distinct row is swept once,
     # in the order the vanishing family first reaches it
     swept = []
@@ -414,7 +432,7 @@ def test_facet_rank_domain():
     with pytest.raises(ValueError):
         facet_rank(3)
     with pytest.raises(ValueError):
-        facet_rank(9)
+        facet_rank(11)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -490,11 +508,13 @@ def test_witness_realizations_build_no_arrangement(monkeypatch):
     assert verify_witness_realizations(6).passed
 
 
-@pytest.mark.parametrize("n,adds", [(7, 3282), (8, 6072)])
+@pytest.mark.parametrize("n,adds", [(7, 1311), (8, 1968)])
 def test_witness_realizations_insert_each_basis_row_once(monkeypatch, n, adds):
-    # each distinct W_1 is reduced once per field, and a copy of a fixed sum
-    # takes only W_1's basis rows, up to full rank: pinned, and below the
-    # 14,385 and 45,198 insertions of extending the copies by W_1's raw rows
+    # a W_1 that is a sum of fixed subspaces reads its ranks off the fixed
+    # echelons; each other distinct W_1 is reduced once per field, and a copy
+    # of a fixed sum takes only its basis rows, up to full rank: pinned, and
+    # below the 3,282 and 6,072 insertions of reducing every W_1, and the
+    # 14,385 and 45,198 of extending the copies by W_1's raw rows
     calls = []
     add = Echelon.add
 
@@ -570,6 +590,13 @@ def test_functions_obey_a_narrower_range_in_the_table(monkeypatch):
     with pytest.raises(ValueError, match=r"certificate 'facet' requires n in 4\.\.4"):
         facet_rank(5)
     assert verify_vanishing(4).passed and facet_rank(4) == (14, 15)
+
+
+@pytest.mark.parametrize("name", ["witness", "identities", "facet"])
+def test_raised_certificates_pass_at_the_top_of_their_range(name):
+    assert certs.CERTIFICATES[name][1] == range(4, 11)
+    (report,) = run_certificates(10, name)
+    assert report.passed, report.details
 
 
 def test_run_certificates_all_and_named():

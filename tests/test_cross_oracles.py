@@ -337,6 +337,23 @@ def test_witness_ranks_against_raw_row_extension():
                     witness_ranks_from_raw_rows(states, dim, w1)
 
 
+def test_sum_case_ranks_against_raw_row_extension():
+    # phi(1) inside {3..n}: W_1 is the fixed W_{j-1}, j in phi(1), so its
+    # ranks are read off the fixed echelons; extending every fixed sum by
+    # the concatenated block rows must give the same rank function
+    for n in range(4, 9):
+        blocks = certs._witness_blocks(n)
+        dim = blocks["dim"]
+        fixed = [blocks["W"][i] for i in range(2, n)]
+        for field in (RATIONAL, 2, 3):
+            states = sum_echelons(field, dim, fixed)
+            for cmask in range(0, 2 ** n, 4):  # every phi(1) without 1 or 2
+                w1 = [row for j in range(3, n + 1) if cmask >> (j - 1) & 1
+                      for row in blocks["W"][j - 1]]
+                assert certs._sum_ranks(states, cmask >> 2) == \
+                    witness_ranks_from_raw_rows(states, dim, w1)
+
+
 def test_pullback_values_against_union_map_pullback():
     # phi(1) = cmask, phi(i) = {i+1} for i >= 2, read off T's table by mask;
     # the tampered T has pairwise distinct values, so any misread mask shows
