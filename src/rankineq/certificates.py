@@ -382,10 +382,11 @@ def _zero_sum(n: int, rows: dict, lines: Sequence[tuple[int, int, int]],
               units: Sequence[tuple[int, int]] = ()) -> bool:
     """Whether sum c*U(S,d) over lines plus sum c*e_A over units is 0 in H_n.
 
-    Rows are the packed _u_row, cached in rows.  Packing is linear, and a
-    packed vector is 0 only if each coordinate is, once all have size below
-    2^w; U(S, d) has entries 0..n, so the bound n * sum |c| + sum |c_unit|
-    is checked.
+    Rows are the packed _u_row, cached in rows under (S, min(d, |S|)), since
+    U(S, d) = U(S, |S|) for d >= |S|.  Packing is linear, and a packed
+    vector is 0 only if each coordinate is, once all have size below 2^w;
+    U(S, d) has entries 0..n, so the bound n * sum |c| + sum |c_unit| is
+    checked.
     """
     w = _PACK_BITS
     bound = n * sum(abs(c) for _, _, c in lines) + sum(abs(c) for _, c in units)
@@ -393,9 +394,10 @@ def _zero_sum(n: int, rows: dict, lines: Sequence[tuple[int, int, int]],
         raise RuntimeError(f"identity terms reach {bound}, beyond {w}-bit packing")
     total = 0
     for smask, d, c in lines:
-        row = rows.get((smask, d))
+        key = smask, min(d, smask.bit_count())
+        row = rows.get(key)
         if row is None:
-            row = rows[smask, d] = _u_row(n, smask, d)
+            row = rows[key] = _u_row(n, *key)
         total += c * row
     for amask, c in units:
         total += c << w * (amask - 1)
@@ -507,20 +509,25 @@ def facet_rank(n: int) -> tuple[int, int]:
     1 <= d <= n).  Each vanishing member is re-verified to pair to 0 with
     the nonzero generator, so that family's rank over QQ is at most 2^n - 2,
     and its rank over GF(2) is no larger: one that reaches 2^n - 2 is exact.
-    Equal rows pair equally, so each distinct row is checked once.  The GF(2)
+    Equal rows are swept once.  The GF(2)
     row of U(S, d) is the XOR of its layers at one bit per coordinate: bit
     A - 1 holds min(d, |A meet S|) mod 2.  The span is then
     ker kinser(n), so the full family has rank 2^n - 1 if some U(S, d) pairs
     to nonzero, exactly, else 2^n - 2.  A GF(2) rank that stops short is
     recomputed by one elimination over QQ, which goes on to the other rows
     to decide the full rank as well.
+
+    The pairing of U(S, d) is the sum of c * min(d, |A meet S|) over the
+    generator's terms c * e*_A.  Every term of kinser(n) has at most 3
+    elements, so min(d, |A meet S|) = min(min(d, 3), |A meet S|), and the
+    re-check pairs each distinct (S, min(d, 3)) once.
     """
     _check_n("facet", n)
     terms = kinser(n).items()
     kernel = vanishing_family(n)
-    # U(S, d) = U(S, |S|) for d >= |S|: each distinct row is checked and swept once
+    # U(S, d) = U(S, |S|) for d >= |S|: each distinct row is swept once
     rows = dict.fromkeys((S.bits, min(d, S.bits.bit_count())) for S, d in kernel)
-    for smask, d in rows:
+    for smask, d in dict.fromkeys((smask, min(d, 3)) for smask, d in rows):
         value = _pair_uniform(terms, smask, d)
         if value != 0:
             raise RuntimeError(f"vanishing family member U(S={SubsetRef(n, smask)!r}, "

@@ -21,8 +21,7 @@ from .certificates import CERTIFICATES, run_certificates
 from .functionals import (Functional, PairingTable, basic_functionals, kinser,
                           pair, permute_functional)
 from .maps import UnionMap, pullback, pushforward
-from .setfunctions import (SetFunction, in_polymatroid_cone, is_connected,
-                           is_integral, is_matroid)
+from .setfunctions import SetFunction, polymatroid_checks
 from .subsets import check_digits, parse_int_list
 
 
@@ -45,19 +44,9 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     P = SetFunction.from_json_obj(_load_json(args.setfunction))
-    integral = is_integral(P)
-    in_cone = in_polymatroid_cone(P)
-    poly = integral and in_cone
-    result = {
-        "n": P.n,
-        "integral": integral,
-        "in_cone": in_cone,
-        "polymatroid": poly,
-        "matroid": is_matroid(P),
-        "connected": is_connected(P) if poly else None,
-    }
+    result = {"n": P.n, **polymatroid_checks(P)}
     print(json.dumps(result))
-    return 0 if poly else 1
+    return 0 if result["polymatroid"] else 1
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

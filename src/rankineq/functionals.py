@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .linalg import RATIONAL, Scalar, normalize_scalar
 from .setfunctions import SetFunction, SubsetKey, _as_mask, parse_value
-from .subsets import SubsetRef, format_subset, parse_subset
+from .subsets import SubsetRef, format_subset, subset_mask_reader
 
 
 class Functional:
@@ -117,8 +117,9 @@ class Functional:
         if not isinstance(raw, dict):
             raise ValueError('"coeffs" must be an object')
         coeffs: dict[int, Scalar] = {}
+        read_mask = subset_mask_reader(n)
         for key, val in raw.items():
-            mask = parse_subset(n, key).bits
+            mask = read_mask(key)
             value = parse_value(val)
             if value == 0:
                 raise ValueError(f"zero coefficient stored for key {key!r}")

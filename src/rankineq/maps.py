@@ -131,11 +131,18 @@ def compose(second: UnionMap, first: UnionMap) -> UnionMap:
 
 
 def pullback(phi: UnionMap, P: SetFunction) -> SetFunction:
-    """Precompose: (phi^# P)(A) = P(phi(A)); maps H_n to H_k."""
+    """Precompose: (phi^# P)(A) = P(phi(A)); maps H_n to H_k.
+
+    The images of all 2^k masks come from one table, doubled once per
+    source element: with top = 2^t the top bit of a mask m, phi(m) is
+    phi(m ^ top) | phi({t + 1}).
+    """
     if P.n != phi.n:
         raise ValueError(f"set function over {P.n}, map target is {phi.n}")
-    vals = [P.value_at(phi.apply_mask(mask)) for mask in range(1 << phi.k)]
-    return SetFunction(phi.k, vals)
+    images = [0]
+    for img in phi.images:
+        images += [m | img for m in images]
+    return SetFunction(phi.k, map(P.values_by_mask().__getitem__, images))
 
 
 def pushforward(phi: UnionMap, f: Functional) -> Functional:

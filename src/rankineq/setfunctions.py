@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from operator import ge, sub
 from typing import Iterable, Mapping, Union
 
 from .linalg import RATIONAL, Scalar, normalize_scalar
-from .subsets import SubsetRef, check_digits, format_subset, parse_subset
+from .subsets import (SubsetRef, check_digits, format_subset, subset_keys,
+                      subset_mask_reader)
 
 SubsetKey = Union[SubsetRef, Iterable[int]]
 
@@ -145,8 +147,7 @@ class SetFunction:
     # -- file format ---------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        values = {format_subset(SubsetRef(self.n, m)): format_value(self._vals[m])
-                  for m in range(1, 1 << self.n)}
+        values = dict(zip(subset_keys(self.n), map(format_value, self._vals[1:])))
         return {"n": self.n, "values": values}
 
     @classmethod
@@ -162,8 +163,9 @@ class SetFunction:
             raise ValueError('"values" must be an object')
         table: list[Scalar | None] = [None] * (1 << n)
         table[0] = 0
+        read_mask = subset_mask_reader(n)
         for key, val in raw.items():
-            mask = parse_subset(n, key).bits
+            mask = read_mask(key)
             if table[mask] is not None:
                 raise ValueError(f"duplicate subset key {key!r}")
             table[mask] = parse_value(val)
@@ -193,28 +195,29 @@ def in_polymatroid_cone(P: SetFunction) -> bool:
     points.  Submodularity is checked in its exchange form on covers,
     P(A+i) + P(A+j) >= P(A+ij) + P(A), which is equivalent to the all-pairs
     form and quadratically cheaper.
+
+    Both are read off the marginals D_i(A) = P(A+i) - P(A), A not holding
+    i.  P is monotone on covers, and so nonnegative since P(empty) = 0,
+    exactly when every D_i(A) >= 0.  The exchange inequality is
+    D_i(A) >= D_i(A+j): the marginal of i does not grow when j joins A.
+    D_i lists A by its mask with bit i taken out, so A and A+j sit 2^(j-1)
+    apart for j > i, in block pairs that map(ge) compares; D_i itself is
+    built from block pairs of P's values by map(sub).
     """
     n, vals = P.n, P.values_by_mask()
-    full_mask = (1 << n) - 1
-    # monotone + nonnegative via covers (value on empty set is 0)
-    for a in range(full_mask + 1):
-        va = vals[a]
-        for i in range(n):
-            bit = 1 << i
-            if not a & bit and vals[a | bit] < va:
-                return False
-    for a in range(full_mask + 1):
-        free = full_mask & ~a
-        i = free
-        while i:
-            bi = i & -i
-            j = i ^ bi
-            while j:
-                bj = j & -j
-                if vals[a | bi] + vals[a | bj] < vals[a | bi | bj] + vals[a]:
+    size = 1 << n
+    for i in range(n):
+        h = 1 << i
+        marginal: list[Scalar] = []
+        for b in range(0, size, 2 * h):
+            marginal += map(sub, vals[b + h:b + 2 * h], vals[b:b + h])
+        if min(marginal) < 0:
+            return False
+        for j in range(i, n - 1):  # bit j of D_i's index is element j + 2 > i + 1
+            h = 1 << j
+            for b in range(0, size >> 1, 2 * h):
+                if not all(map(ge, marginal[b:b + h], marginal[b + h:b + 2 * h])):
                     return False
-                j ^= bj
-            i ^= bi
     return True
 
 
@@ -229,9 +232,7 @@ def is_polymatroid(P: SetFunction) -> bool:
 
 def is_matroid(P: SetFunction) -> bool:
     """A polymatroid whose every singleton rank is at most 1."""
-    if not is_polymatroid(P):
-        return False
-    return all(P.value_at(1 << i) <= 1 for i in range(P.n))
+    return is_polymatroid(P) and _unit_singletons(P)
 
 
 def is_connected(P: SetFunction) -> bool:
@@ -241,6 +242,28 @@ def is_connected(P: SetFunction) -> bool:
     """
     if not is_polymatroid(P):
         raise ValueError("is_connected requires a polymatroid")
+    return _no_separator(P)
+
+
+def polymatroid_checks(P: SetFunction) -> dict[str, bool | None]:
+    """The predicates above for one P, with one cone test among them all.
+
+    Keys: integral, in_cone, polymatroid, matroid, and connected, which is
+    None unless P is a polymatroid.
+    """
+    integral = is_integral(P)
+    in_cone = in_polymatroid_cone(P)
+    poly = integral and in_cone
+    return {"integral": integral, "in_cone": in_cone, "polymatroid": poly,
+            "matroid": poly and _unit_singletons(P),
+            "connected": _no_separator(P) if poly else None}
+
+
+def _unit_singletons(P: SetFunction) -> bool:
+    return all(P.value_at(1 << i) <= 1 for i in range(P.n))
+
+
+def _no_separator(P: SetFunction) -> bool:
     n, vals = P.n, P.values_by_mask()
     full_mask = (1 << n) - 1
     total = vals[full_mask]

@@ -8,7 +8,7 @@ top of it are deterministic.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_GROUND_SET = 20
 # Longest run of digits read: int() takes time quadratic in its length.
@@ -132,6 +132,42 @@ def nonempty_subsets(n: int) -> Iterator[SubsetRef]:
 def format_subset(S: SubsetRef) -> str:
     """Text form used in all file formats: "1,3,4" (strictly increasing)."""
     return ",".join(str(i) for i in S.elements())
+
+
+def subset_keys(n: int) -> list[str]:
+    """format_subset(SubsetRef(n, m)) at index m - 1, for every nonempty mask m.
+
+    Built in one sweep with no SubsetRef: with top = 2^(t-1) the top bit of
+    m, the key of m is the key of m ^ top, then "," and t, or just t when
+    m == top.  The 2^n - 1 keys are built per call and kept by no one.
+    """
+    keys: list[str] = []
+    for t in map(str, range(1, n + 1)):
+        keys += [t] + [key + "," + t for key in keys]
+    return keys
+
+
+def subset_mask_reader(n: int) -> Callable[[str], int]:
+    """A function from a subset key to parse_subset(n, key).bits, with no SubsetRef.
+
+    A key is read part by part off str(i) -> 2^(i-1), 1 <= i <= n, and is
+    accepted when every part is found and each bit is above the OR of the
+    bits before it: the canonical, strictly increasing spelling of a
+    subset of {1..n}.  Any other key goes to parse_subset, which raises
+    its own message for it.
+    """
+    bits = {str(i): 1 << (i - 1) for i in range(1, n + 1)}
+
+    def read(key: str) -> int:
+        mask = 0
+        for part in key.split(","):
+            bit = bits.get(part, 0)
+            if bit <= mask:
+                return parse_subset(n, key).bits
+            mask |= bit
+        return mask
+
+    return read
 
 
 def parse_int_list(text: str, what: str) -> list[int]:

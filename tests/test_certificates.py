@@ -228,8 +228,9 @@ def test_line_identities_detect_flipped_mobius_sign(monkeypatch):
 ], ids=["splitting", "top", "coatom", "mobius", "triple", "four-term"])
 def test_line_identities_fail_on_a_corrupted_term(monkeypatch, elems, d, line, families):
     # one row U(S, d) off by one in one coordinate: exactly the families with
-    # an identity using U(S, d) fail, each with its own message
-    bad = (subset(5, elems).bits, d)
+    # an identity using U(S, d) fail, each with its own message.  Rows are
+    # built and cached under (S, min(d, |S|)), so that key is the one corrupted
+    bad = (subset(5, elems).bits, min(d, len(elems)))
     row = certs._u_row
 
     def corrupted(n, smask, dd):
@@ -369,6 +370,31 @@ def test_facet_rank_passes_with_one_modular_sweep(monkeypatch, n):
     assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
     assert fields == []
     assert stops == [2 ** n - 2]
+
+
+def test_kinser_terms_have_at_most_three_elements():
+    # facet_rank pairs at min(d, 3) on this bound
+    for n in range(4, 21):
+        assert max(mask.bit_count() for mask, _ in kinser(n).items()) == 3
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_facet_rank_pairs_each_distinct_member_once(monkeypatch, n):
+    # min(d, |A meet S|) = min(min(d, 3), |A meet S|) on every term A, so
+    # the re-check pairs each distinct (S, min(d, |S|, 3)) once, in the
+    # order the vanishing family first reaches it
+    calls = []
+    pair_uniform = certs._pair_uniform
+
+    def spy(terms, smask, d):
+        calls.append((smask, d))
+        return pair_uniform(terms, smask, d)
+
+    monkeypatch.setattr(certs, "_pair_uniform", spy)
+    assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
+    distinct = list(dict.fromkeys((S.bits, min(d, len(S), 3))
+                                  for S, d in vanishing_family(n)))
+    assert calls[:len(distinct)] == distinct  # the lift's pairings follow
 
 
 def test_facet_full_rank_comes_from_an_exact_pairing(monkeypatch):

@@ -14,6 +14,7 @@ from rankineq.cli import _relabellings, main
 from rankineq.functionals import (Functional, basic_functionals, kinser, pair,
                                   permute_functional, permute_mask)
 from rankineq.maps import UnionMap, hierarchy_map
+from rankineq import setfunctions
 from rankineq.setfunctions import SetFunction
 
 
@@ -94,6 +95,31 @@ def test_check_polymatroid(files, capsys):
     assert result == {"n": 4, "integral": True, "in_cone": True,
                       "polymatroid": True, "matroid": False,
                       "connected": True}
+
+
+@pytest.mark.parametrize("P,code", [
+    (witness_T(4), 0),
+    (SetFunction.from_values(2, {(1,): 2, (2,): 1, (1, 2): 1}), 1),
+    (SetFunction.from_values(1, {(1,): Fraction(1, 2)}), 1),
+], ids=["polymatroid", "outside", "non-integral"])
+def test_check_runs_one_cone_test(files, capsys, monkeypatch, P, code):
+    # the matroid and connected predicates reuse the one basic-inequality
+    # test, whatever its outcome
+    calls = []
+    cone = setfunctions.in_polymatroid_cone
+
+    def spy(Q):
+        calls.append(Q)
+        return cone(Q)
+
+    monkeypatch.setattr(setfunctions, "in_polymatroid_cone", spy)
+    assert main(["check", files("p.json", P.to_json_obj())]) == code
+    assert calls == [P]
+    result = json.loads(capsys.readouterr().out)
+    assert result == {"n": P.n, "integral": setfunctions.is_integral(P),
+                      "in_cone": cone(P), "polymatroid": code == 0,
+                      "matroid": setfunctions.is_matroid(P),
+                      "connected": setfunctions.is_connected(P) if code == 0 else None}
 
 
 def test_check_non_polymatroid_exits_one(files, capsys):

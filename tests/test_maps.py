@@ -41,6 +41,18 @@ def test_pullback_examples():
     assert pullback(identity_map(3), Q) == Q
 
 
+def test_pullback_reads_each_mask_at_its_image():
+    # the doubled image table against phi(A) mask by mask, with images that
+    # are empty, repeated or overlapping
+    rng = random.Random(31)
+    for k, n in [(1, 1), (3, 2), (5, 4), (8, 6)]:
+        P = SetFunction(n, [0] + [rng.randint(0, 9) for _ in range(2 ** n - 1)])
+        for _ in range(5):
+            phi = rand_map(rng, k, n)
+            assert pullback(phi, P).values_by_mask() == tuple(
+                P.value_at(phi.apply_mask(m)) for m in range(2 ** k))
+
+
 def test_pushforward_substitution_example():
     phi = UnionMap(2, 3, [[1], [2, 3]])
     f = Functional.from_coeffs(2, {(1,): 1, (2,): 1, (1, 2): -1})

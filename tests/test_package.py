@@ -42,6 +42,46 @@ def test_cli_import_loads_no_dataclasses():
     assert out.stdout.strip() == "[]"
 
 
+IMPORT_AND_HELP = """
+import contextlib, io, os, sys
+calls = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        calls.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+sys.setprofile(profile)
+import rankineq.cli
+for argv in (["--help"], *([name, "--help"] for name in sys.argv[1:])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rankineq.cli.main(argv) == 0, argv
+sys.setprofile(None)
+files = {os.path.abspath(m.__file__): m for name, m in list(sys.modules.items())
+         if name.startswith("rankineq") and getattr(m, "__file__", None)}
+ran = {(files[os.path.abspath(f)].__name__, name) for f, name in calls
+       if os.path.abspath(f) in files}
+# a module or class body runs once per import; a function of the package
+# runs only if the import or --help does work
+print(sorted((module, name) for module, name in ran
+             if name != "<module>"
+             and not isinstance(getattr(sys.modules[module], name, None), type)))
+"""
+
+
+def test_cli_import_and_help_run_no_package_function():
+    # work done on import or on --help would be paid by every command, a
+    # 2^n table above all; only main and the argument parser may run
+    src = str(Path(rankineq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = ["check", "eval", "gen-kinser", "realize", "pullback",
+                "pushforward", "verify", "random-test"]
+    out = subprocess.run([sys.executable, "-c", IMPORT_AND_HELP, *commands],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == ("[('rankineq.cli', '_build_parser'), "
+                                  "('rankineq.cli', 'main')]")
+
+
 def _private_names_never_referenced(sources: dict[str, str]) -> list[str]:
     """Module-level _names (functions, classes, constants) no module refers to."""
     defined, used = [], set()

@@ -6,11 +6,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankineq.setfunctions import (SetFunction, in_polymatroid_cone,
                                    is_connected, is_integral, is_matroid,
                                    is_polymatroid)
-from rankineq.subsets import subset
+from rankineq.subsets import SubsetRef, format_subset, subset
 
 from oracles import in_polymatroid_cone_all_pairs, is_polymatroid_all_pairs
 
@@ -162,3 +163,78 @@ def test_json_rejects_bad_tables():
     with pytest.raises(ValueError, match="rational"):
         SetFunction.loads(json.dumps(
             {"n": 1, "values": {"1": "1/0"}}))
+
+
+def _uniform_rank(n, r):
+    # U_{r,n}: r = n is modular, r < n has tight covers above rank r, and
+    # r = 0 is the zero function
+    return SetFunction(n, [min(r, m.bit_count()) for m in range(2 ** n)])
+
+
+def _broken(P):
+    """Each element whose cover is decreasing somewhere, and each pair (i, j)
+    whose exchange inequality fails somewhere, read off the definitions."""
+    n, vals = P.n, P.values_by_mask()
+    out = set()
+    for a in range(2 ** n):
+        for i in range(n):
+            if a >> i & 1:
+                continue
+            if vals[a | 1 << i] < vals[a]:
+                out.add((i,))
+            for j in range(i + 1, n):
+                if not a >> j & 1 and (vals[a | 1 << i] + vals[a | 1 << j]
+                                       < vals[a | 1 << i | 1 << j] + vals[a]):
+                    out.add((i, j))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_marginal_cone_test_against_all_pairs_on_moved_values(n):
+    # rank functions of U_{r,n} with one value moved by +-1, +-1/2 or +-1/3:
+    # the cone test agrees with the all-pairs oracle on each, and the moves
+    # break every cover and every pair (i, j) at least once
+    rng = random.Random(700 + n)
+    masks = range(1, 2 ** n) if n <= 6 else rng.sample(range(1, 2 ** n), 24)
+    moves = [s * Fraction(1, q) for q in (1, 2, 3) for s in (1, -1)]
+    broken = set()
+    for r in range(n + 1):
+        vals = list(_uniform_rank(n, r).values_by_mask())
+        assert in_polymatroid_cone(SetFunction(n, vals))
+        for m in masks:
+            for move in moves:
+                moved = vals.copy()
+                moved[m] += move
+                P = SetFunction(n, moved)
+                assert in_polymatroid_cone(P) == in_polymatroid_cone_all_pairs(P)
+                broken |= _broken(P)
+    want = {(i,) for i in range(n)} | {(i, j) for i in range(n) for j in range(i + 1, n)}
+    assert broken == want
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_cone_test_sees_each_pair_alone(n):
+    # F(|A|) = |A|(2n - |A|) leaves slack 2 in every exchange inequality, and
+    # 3 on the sets holding both e1 and e2 breaks exactly those of (e1, e2)
+    for e1 in range(n):
+        for e2 in range(e1 + 1, n):
+            both = 1 << e1 | 1 << e2
+            P = SetFunction(n, [m.bit_count() * (2 * n - m.bit_count())
+                                + 3 * (m & both == both) for m in range(2 ** n)])
+            assert _broken(P) == {(e1, e2)}
+            assert not in_polymatroid_cone(P)
+            assert not in_polymatroid_cone_all_pairs(P)
+
+
+VALUES = st.integers(-10 ** 30, 10 ** 30) | st.fractions(max_denominator=10 ** 6)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(VALUES, min_size=2 ** n - 1, max_size=2 ** n - 1)))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_json_round_trip_any_values(values):
+    n = (len(values) + 1).bit_length() - 1
+    P = SetFunction(n, [0, *values])
+    assert SetFunction.loads(P.dumps()) == P
+    assert list(P.to_json_obj()["values"]) == [
+        format_subset(SubsetRef(n, m)) for m in range(1, 2 ** n)]

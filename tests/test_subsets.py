@@ -7,7 +7,7 @@ import pytest
 
 from rankineq.subsets import (SubsetRef, all_subsets, check_digits, format_subset,
                               mobius, nonempty_subsets, parse_int_list, parse_subset,
-                              subset)
+                              subset, subset_keys, subset_mask_reader)
 
 
 def test_constructor_examples():
@@ -151,3 +151,27 @@ def test_elements_must_be_integers_not_bools():
         with pytest.raises(ValueError, match="out of range"):
             subset(3, elements)
     assert subset(3, [1]) == SubsetRef(3, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_subset_keys_are_the_formatted_subsets(n):
+    assert subset_keys(n) == [format_subset(SubsetRef(n, m)) for m in range(1, 2 ** n)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 12])
+def test_mask_reader_reads_every_key(n):
+    read = subset_mask_reader(n)
+    assert [read(key) for key in subset_keys(n)] == list(range(1, 2 ** n))
+
+
+@pytest.mark.parametrize("key", [
+    "2,1", "1,1", "1,3,2", "3,3", "0", "4", "13", "01", " 1", "1 ", "1,", ",1",
+    "", "-1", "+1", "1_0", "\u0661", "1,,2", "9" * 4301, "1,2,3,4"])
+def test_mask_reader_rejects_as_parse_subset_does(key):
+    # a key is read only in its one canonical spelling; every other key
+    # raises parse_subset's own message
+    with pytest.raises(ValueError) as want:
+        parse_subset(3, key)
+    with pytest.raises(ValueError) as got:
+        subset_mask_reader(3)(key)
+    assert str(got.value) == str(want.value)
