@@ -518,20 +518,25 @@ def facet_rank(n: int) -> tuple[int, int]:
     to decide the full rank as well.
 
     The pairing of U(S, d) is the sum of c * min(d, |A meet S|) over the
-    generator's terms c * e*_A.  Every term of kinser(n) has at most 3
-    elements, so min(d, |A meet S|) = min(min(d, 3), |A meet S|), and the
-    re-check pairs each distinct (S, min(d, 3)) once.
+    generator's terms c * e*_A.  With t the largest term size, |A meet S|
+    <= t on every term, so min(d, |A meet S|) = min(min(d, t), |A meet S|),
+    and the re-check pairs each distinct (S, min(d, t)) once, naming the
+    first member that reaches it if it fails.
     """
     _check_n("facet", n)
     terms = kinser(n).items()
     kernel = vanishing_family(n)
     # U(S, d) = U(S, |S|) for d >= |S|: each distinct row is swept once
     rows = dict.fromkeys((S.bits, min(d, S.bits.bit_count())) for S, d in kernel)
-    for smask, d in dict.fromkeys((smask, min(d, 3)) for smask, d in rows):
+    top = max(mask.bit_count() for mask, _ in terms)
+    pairings: dict[tuple[int, int], tuple[SubsetRef, int]] = {}
+    for S, d in kernel:
+        pairings.setdefault((S.bits, min(d, S.bits.bit_count(), top)), (S, d))
+    for (smask, d), (S, member_d) in pairings.items():
         value = _pair_uniform(terms, smask, d)
         if value != 0:
-            raise RuntimeError(f"vanishing family member U(S={SubsetRef(n, smask)!r}, "
-                               f"d={d}) pairs to {value}")
+            raise RuntimeError(f"vanishing family member U(S={S!r}, d={member_d}) "
+                               f"pairs to {value}")
     ncols = (1 << n) - 1
     family = [(smask, d) for smask in range(1, 1 << n) for d in range(1, n + 1)]
     if _gf2_rank((_parity_row(n, smask, d) for smask, d in rows), ncols - 1) < ncols - 1:

@@ -154,9 +154,11 @@ def subset_mask_reader(n: int) -> Callable[[str], int]:
     accepted when every part is found and each bit is above the OR of the
     bits before it: the canonical, strictly increasing spelling of a
     subset of {1..n}.  Any other key goes to parse_subset, which raises
-    its own message for it.
+    its own message for it.  For n outside 1..MAX_GROUND_SET the table is
+    empty, so every key goes to parse_subset and n is never used as a size.
     """
-    bits = {str(i): 1 << (i - 1) for i in range(1, n + 1)}
+    bits = ({str(i): 1 << (i - 1) for i in range(1, n + 1)}
+            if 1 <= n <= MAX_GROUND_SET else {})
 
     def read(key: str) -> int:
         mask = 0

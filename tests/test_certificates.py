@@ -335,6 +335,21 @@ def test_facet_rank_rejects_admitted_non_member(monkeypatch):
         facet_rank(5)
 
 
+def test_facet_rank_names_the_member_that_fails(monkeypatch):
+    # the re-check pairs U(S, 5) at min(5, |S|, 3) = 3, but must name the
+    # member as the family holds it
+    n = 5
+    S = subset(n, [1, 2, 3, 4])
+    tampered = kinser(n) + Functional.unit(n, subset(n, [1, 2, 3]))
+    monkeypatch.setattr(certs, "kinser", lambda _: tampered)
+    monkeypatch.setattr(certs, "vanishing_family", lambda _: [(S, 5)])
+    value = pair(tampered, uniform_U(n, S, 5))
+    assert value
+    with pytest.raises(RuntimeError) as err:
+        facet_rank(n)
+    assert str(err.value) == f"vanishing family member U(S={S!r}, d=5) pairs to {value}"
+
+
 def _spy_echelon_fields(monkeypatch):
     # the field of every Echelon the certificates construct, in order
     fields = []
@@ -372,17 +387,12 @@ def test_facet_rank_passes_with_one_modular_sweep(monkeypatch, n):
     assert stops == [2 ** n - 2]
 
 
-def test_kinser_terms_have_at_most_three_elements():
-    # facet_rank pairs at min(d, 3) on this bound
-    for n in range(4, 21):
-        assert max(mask.bit_count() for mask, _ in kinser(n).items()) == 3
-
-
 @pytest.mark.parametrize("n", range(4, 9))
 def test_facet_rank_pairs_each_distinct_member_once(monkeypatch, n):
-    # min(d, |A meet S|) = min(min(d, 3), |A meet S|) on every term A, so
-    # the re-check pairs each distinct (S, min(d, |S|, 3)) once, in the
-    # order the vanishing family first reaches it
+    # with t the largest term size, min(d, |A meet S|) = min(min(d, t),
+    # |A meet S|) on every term A, so the re-check pairs each distinct
+    # (S, min(d, |S|, t)) once, in the order the vanishing family first
+    # reaches it
     calls = []
     pair_uniform = certs._pair_uniform
 
@@ -392,7 +402,8 @@ def test_facet_rank_pairs_each_distinct_member_once(monkeypatch, n):
 
     monkeypatch.setattr(certs, "_pair_uniform", spy)
     assert facet_rank(n) == (2 ** n - 2, 2 ** n - 1)
-    distinct = list(dict.fromkeys((S.bits, min(d, len(S), 3))
+    top = max(mask.bit_count() for mask, _ in kinser(n).items())
+    distinct = list(dict.fromkeys((S.bits, min(d, len(S), top))
                                   for S, d in vanishing_family(n)))
     assert calls[:len(distinct)] == distinct  # the lift's pairings follow
 

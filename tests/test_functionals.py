@@ -1,18 +1,23 @@
 """The inequality generator, pairings, permutations, basic inequalities."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rankineq
 from rankineq.arrangements import (derive_seed, random_arrangement,
                                    rank_function, uniform_U)
 from rankineq.functionals import (Functional, PairingTable, basic_functionals,
                                   kinser, pair, permute_functional)
 from rankineq.setfunctions import SetFunction
-from rankineq.subsets import subset
+from rankineq.subsets import parse_subset, subset
 
 
 def coeff_table(f):
@@ -174,6 +179,20 @@ def test_json_rejects_zero_and_bad_keys():
         Functional.loads('{"n": 4}')
 
 
+@pytest.mark.parametrize("n", [21, 0, -1])
+@pytest.mark.parametrize("value", ['"0"', '"x"', '"1"'])
+def test_json_checks_n_before_the_coefficient(n, value):
+    # an out-of-range n fails on the first key, before its coefficient is
+    # read
+    with pytest.raises(ValueError) as want:
+        parse_subset(n, "1")
+    with pytest.raises(ValueError) as got:
+        Functional.loads(f'{{"n": {n}, "coeffs": {{"1": {value}}}}}')
+    assert str(got.value) == str(want.value)
+    if n == 21:
+        assert str(got.value) == "ground-set size must be in 1..20, got 21"
+
+
 def test_pairing_table_flags_exactly_the_negative_pairings():
     # negative control: the n=5 family plus sign-indefinite members, so
     # the packed signs must agree with pair on violated functionals too
@@ -271,3 +290,25 @@ def test_pairing_table_checks_its_bound():
     assert zero.negatives(SetFunction.zero(4)) == []
     with pytest.raises(ValueError, match="exceeds"):
         zero.negatives(SetFunction(4, [0] * 15 + [1]))
+
+
+HUGE_N = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from rankineq.functionals import Functional
+try:
+    Functional.loads('{"n": 1000000000000000000, "coeffs": {"1": "0"}}')
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_json_sizes_nothing_by_a_huge_n():
+    # in a child capped at 1 GiB of address space: a table sized by n would
+    # end in MemoryError there, not fill the machine
+    src = str(Path(rankineq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", HUGE_N], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout == f"ground-set size must be in 1..20, got {10 ** 18}\n"

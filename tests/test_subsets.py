@@ -175,3 +175,14 @@ def test_mask_reader_rejects_as_parse_subset_does(key):
     with pytest.raises(ValueError) as got:
         subset_mask_reader(3)(key)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [0, -1, 21])
+@pytest.mark.parametrize("key", ["1", "1,2", "2,1", "x"])
+def test_mask_reader_sends_every_key_of_a_bad_n_to_parse_subset(n, key):
+    # no part table is sized by an n outside 1..MAX_GROUND_SET
+    with pytest.raises(ValueError) as want:
+        parse_subset(n, key)
+    with pytest.raises(ValueError) as got:
+        subset_mask_reader(n)(key)
+    assert str(got.value) == str(want.value)
